@@ -10,7 +10,6 @@ simulates the payoff-mediated two-bit signaling protocol.
 
 __version__ = "0.1.0"
 
-from .linalg import adjoint, mat_apply, mat_mul, outer, tensor3, trace
 from .game import (
     DEFAULT_PAYOFF_TABLE,
     OUTCOMES,
@@ -22,12 +21,12 @@ from .game import (
     StrategyParams,
     classical_payoff,
     expected_payoffs,
-    final_density,
-    final_state,
     initial_state,
     measurement_basis,
     measurement_projectors,
+    moves,
     outcome_distribution,
+    outcome_probabilities,
     payoff_operator,
     strategy_unitary,
 )
@@ -70,15 +69,12 @@ from .comms import (
 
 __all__ = [
     "__version__",
-    # linalg
-    "tensor3", "adjoint", "outer", "mat_apply", "mat_mul", "trace",
     # game
     "OUTCOMES", "PLAYERS", "StrategyParams", "PayoffTriple", "PayoffTable",
     "DEFAULT_PAYOFF_TABLE", "GameConfig", "OutcomeDistribution",
-    "initial_state", "strategy_unitary", "measurement_basis",
-    "measurement_projectors", "payoff_operator", "final_state",
-    "final_density", "outcome_distribution", "expected_payoffs",
-    "classical_payoff",
+    "initial_state", "moves", "strategy_unitary", "measurement_basis",
+    "measurement_projectors", "payoff_operator", "outcome_probabilities",
+    "outcome_distribution", "expected_payoffs", "classical_payoff",
     # closedform
     "ClosedFormTerms", "ComparisonReport", "closed_form_payoffs",
     "max_entanglement_payoffs", "compare_to_oracle", "sample_any",

@@ -809,9 +809,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        parser.exit(2, f"error: {exc}\n")
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         parser.exit(2, f"error: {exc}\n")
     return 0
 

@@ -28,7 +28,8 @@ from .game import (
     expected_payoffs,
 )
 
-#: Bob/Charlie's fixed phases in the restricted game.
+#: Bob/Charlie's fixed phases in the restricted game: alpha = 0, beta = pi/2,
+#: so theta = 0 is the plain cooperate move and theta = pi the plain defect move.
 COMMON_ALPHA = 0.0
 COMMON_BETA = math.pi / 2
 

@@ -19,26 +19,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .comms import COMMON_ALPHA, COMMON_BETA
 from .game import (
     GameConfig,
     PayoffTable,
     PayoffTriple,
     StrategyParams,
     expected_payoffs,
-    initial_state,
-    measurement_basis,
+    outcome_probabilities,
     player_index,
-    strategy_unitary,
 )
 
 #: Gate for equilibrium and ordering assertions.
 NASH_TOL = 1e-9
-
-#: Bob/Charlie phase convention used by the restricted communication game:
-#: alpha = 0, beta = pi/2, so theta = 0 is the plain cooperate move and
-#: theta = pi the plain defect move.
-COMMON_ALPHA = 0.0
-COMMON_BETA = math.pi / 2
 
 _THETA_ANCHORS = (0.0, math.pi / 2, math.pi)
 _PHASE_ANCHORS = (-math.pi, 0.0, math.pi / 2, math.pi)
@@ -107,12 +100,6 @@ class Profile:
     def as_tuple(self) -> tuple[StrategyParams, StrategyParams, StrategyParams]:
         return (self.pa, self.pb, self.pc)
 
-    def replace_player(self, player, params: StrategyParams) -> "Profile":
-        k = player_index(player)
-        parts = list(self.as_tuple())
-        parts[k] = params
-        return Profile(*parts)
-
     def to_record(self) -> dict:
         return {
             "alice": list(self.pa.as_tuple()),
@@ -155,42 +142,24 @@ class EquilibriumReport:
         return record
 
 
-def _candidate_params(grid: GridSpec) -> list[StrategyParams]:
-    """Grid points in lexicographic (theta, alpha, beta) order."""
-    return [
-        StrategyParams(t, a, b)
-        for t in grid.theta_values()
-        for a in grid.alpha_values()
-        for b in grid.beta_values()
-    ]
+def _candidate_params(grid: GridSpec) -> np.ndarray:
+    """Grid points as a ``(G, 3)`` array in lexicographic (theta, alpha, beta) order."""
+    axes = np.meshgrid(
+        grid.theta_values(), grid.alpha_values(), grid.beta_values(), indexing="ij"
+    )
+    return np.stack([axis.ravel() for axis in axes], axis=1)
 
 
 def _batched_payoffs(
     player: int,
-    candidates: list[StrategyParams],
+    candidates: np.ndarray,
     others: tuple[StrategyParams, StrategyParams],
     config: GameConfig,
 ) -> np.ndarray:
-    """Oracle payoffs of ``player`` for a batch of own moves, others fixed.
-
-    Same Born rule as :func:`qpd3.game.expected_payoffs`, vectorized over the
-    candidate moves: the fixed players are applied to the initial state once,
-    then all candidate unitaries are contracted onto the varying qubit in one
-    einsum.
-    """
-    psi = initial_state(config.gamma).reshape(2, 2, 2)
-    fixed_axes = [ax for ax in range(3) if ax != player]
-    for ax, params in zip(fixed_axes, others):
-        u = strategy_unitary(params)
-        psi = np.moveaxis(np.tensordot(u, psi, axes=(1, ax)), 0, ax)
-
-    batch = np.stack([strategy_unitary(p) for p in candidates])  # (G, 2, 2)
-    moved = np.moveaxis(psi, player, 0)  # varying qubit first
-    final = np.einsum("gij,jkl->gikl", batch, moved)
-    final = np.moveaxis(final, 1, player + 1).reshape(len(candidates), 8)
-
-    basis = np.stack(measurement_basis(config.delta))  # (8, 8)
-    probs = np.abs(final @ basis.conj().T) ** 2  # (G, 8)
+    """Oracle payoffs of ``player`` for each ``(G, 3)`` candidate row, others fixed."""
+    players = [p.as_tuple() for p in others]
+    players.insert(player, candidates)
+    probs = outcome_probabilities(config.gamma, config.delta, *players)
     return probs @ config.payoffs.column(player)
 
 
@@ -213,7 +182,7 @@ def best_response(
     # candidates are in lexicographic order, so the first near-maximizer is
     # the required tie-break
     best = int(np.argmax(payoffs >= payoffs.max() - 1e-12))
-    return candidates[best]
+    return StrategyParams(*candidates[best])
 
 
 def verify_nash(
@@ -224,13 +193,12 @@ def verify_nash(
 ) -> EquilibriumReport:
     """Measure every player's unilateral grid-deviation gain at ``profile``."""
     payoff = expected_payoffs(config, *profile.as_tuple())
+    candidates = _candidate_params(grid)
     gaps = []
     for k in range(3):
         others = tuple(p for i, p in enumerate(profile.as_tuple()) if i != k)
-        candidates = _candidate_params(grid)
         payoffs = _batched_payoffs(k, candidates, others, config)
-        own = payoff[k]
-        gaps.append(max(float(payoffs.max()) - own, 0.0))
+        gaps.append(max(float(payoffs.max()) - payoff[k], 0.0))
     return EquilibriumReport(profile, payoff, tuple(gaps), tol, grid)
 
 

@@ -7,11 +7,15 @@ Alice, Bob and Charlie.  Each player applies a local unitary parameterized by
 basis whose entanglement is set by a second angle ``delta``.  Expected
 payoffs follow from the trace rule: the probability of outcome ``lmn`` is
 ``<psi_lmn| rho_f |psi_lmn>`` and each player collects the corresponding
-payoff-table entry.
+payoff-table entry.  The initial state is pure and every move is unitary, so
+``rho_f = |psi_f><psi_f|`` and the rule is evaluated as
+``|<psi_lmn|psi_f>|^2``; the tests cross-check it against the density-matrix
+form.
 
-``expected_payoffs`` is the package-wide oracle: every closed-form
-expression, protocol table and equilibrium scan elsewhere in the package is
-validated against it.
+``outcome_probabilities`` is the one place the rule is evaluated, for a single
+profile or a batch of them.  ``expected_payoffs`` wraps it for one profile and
+is the package-wide oracle: every closed-form expression, protocol table and
+equilibrium scan elsewhere in the package is validated against it.
 """
 
 from __future__ import annotations
@@ -21,19 +25,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ATOL, adjoint, outer, tensor3
-
 #: Outcome labels in basis order: l = Alice bit, m = Bob bit, n = Charlie bit.
 OUTCOMES = ("000", "001", "010", "011", "100", "101", "110", "111")
 
 #: Players in payoff-triple order.
 PLAYERS = ("A", "B", "C")
 
-#: Tolerance for end-to-end payoff comparisons.
-PAYOFF_ATOL = 1e-9
-
-#: Probabilities above this floor are clamped to zero; anything lower is an error.
-NEG_PROB_FLOOR = -1e-14
+#: Largest distance from 1 that a sum of outcome probabilities may show.
+ATOL = 1e-12
 
 # Classic three-player dilemma payoffs: cooperate = bit 0, defect = bit 1.
 # Triple order is (Alice, Bob, Charlie); lone defectors collect 5, the
@@ -202,33 +201,36 @@ def initial_state(gamma: float) -> np.ndarray:
     return psi
 
 
-def strategy_unitary(p: StrategyParams) -> np.ndarray:
-    """Single-qubit move for one player.
+def moves(params) -> np.ndarray:
+    """Single-qubit moves for ``params[..., (theta, alpha, beta)]``, shape ``(..., 2, 2)``.
 
     The two generators act as ``R|0> = e^{i alpha}|0>``,
     ``R|1> = e^{-i alpha}|1>`` and ``P|0> = e^{i(pi/2 - beta)}|1>``,
     ``P|1> = e^{i(pi/2 + beta)}|0>``; the move is
     ``cos(theta/2) R + sin(theta/2) P`` and is unitary for every parameter
-    choice in range.
+    choice in range.  Column ``j`` is ``U|j>``.
     """
-    c = math.cos(p.theta / 2)
-    s = math.sin(p.theta / 2)
-    r = np.array(
-        [[np.exp(1j * p.alpha), 0.0], [0.0, np.exp(-1j * p.alpha)]], dtype=complex
-    )
-    flip = np.array(
-        [
-            [0.0, np.exp(1j * (math.pi / 2 + p.beta))],
-            [np.exp(1j * (math.pi / 2 - p.beta)), 0.0],
-        ],
-        dtype=complex,
-    )
-    return c * r + s * flip
+    params = np.asarray(params, dtype=float)
+    theta, alpha, beta = params[..., 0], params[..., 1], params[..., 2]
+    c = np.cos(theta / 2)
+    s = np.sin(theta / 2)
+    u = np.empty(params.shape[:-1] + (2, 2), dtype=complex)
+    u[..., 0, 0] = c * np.exp(1j * alpha)
+    u[..., 1, 1] = c * np.exp(-1j * alpha)
+    u[..., 0, 1] = s * np.exp(1j * (math.pi / 2 + beta))
+    u[..., 1, 0] = s * np.exp(1j * (math.pi / 2 - beta))
+    return u
+
+
+def strategy_unitary(p: StrategyParams) -> np.ndarray:
+    """Single-qubit move for one player; see :func:`moves`."""
+    return moves(p.as_tuple())
 
 
 # Outcomes whose basis vector carries +i sin(delta/2) on the partner label;
 # the complementary family carries -i sin(delta/2).
 _PLUS_FAMILY = frozenset({"000", "111", "001", "110"})
+_SIGNS = np.array([1.0 if o in _PLUS_FAMILY else -1.0 for o in OUTCOMES])
 
 
 def measurement_basis(delta: float) -> list[np.ndarray]:
@@ -243,18 +245,17 @@ def measurement_basis(delta: float) -> list[np.ndarray]:
     c = math.cos(delta / 2)
     s = math.sin(delta / 2)
     basis = []
-    for b, outcome in enumerate(OUTCOMES):
+    for b in range(len(OUTCOMES)):
         v = np.zeros(8, dtype=complex)
-        sign = 1.0 if outcome in _PLUS_FAMILY else -1.0
         v[b] = c
-        v[7 - b] += sign * 1j * s
+        v[7 - b] += _SIGNS[b] * 1j * s
         basis.append(v)
     return basis
 
 
 def measurement_projectors(delta: float) -> list[np.ndarray]:
     """Rank-1 projectors onto the measurement basis, indexed by outcome."""
-    return [outer(v) for v in measurement_basis(delta)]
+    return [np.outer(v, v.conj()) for v in measurement_basis(delta)]
 
 
 def payoff_operator(delta: float, player, table: PayoffTable | None = None) -> np.ndarray:
@@ -270,53 +271,81 @@ def payoff_operator(delta: float, player, table: PayoffTable | None = None) -> n
     return op
 
 
-def final_state(
-    config: GameConfig, pa: StrategyParams, pb: StrategyParams, pc: StrategyParams
-) -> np.ndarray:
-    """State after the three local moves, before measurement."""
-    u = tensor3(strategy_unitary(pa), strategy_unitary(pb), strategy_unitary(pc))
-    return u @ initial_state(config.gamma)
+# Range of (theta, alpha, beta), as StrategyParams enforces it.
+_PARAM_LO = np.array([0.0, -math.pi, -math.pi])
+_PARAM_HI = np.array([math.pi, math.pi, math.pi])
 
 
-def final_density(
-    config: GameConfig, pa: StrategyParams, pb: StrategyParams, pc: StrategyParams
-) -> np.ndarray:
-    """Density matrix ``U rho_in U^dagger`` for the played profile."""
-    u = tensor3(strategy_unitary(pa), strategy_unitary(pb), strategy_unitary(pc))
-    rho_in = outer(initial_state(config.gamma))
-    return u @ rho_in @ adjoint(u)
+def outcome_probabilities(gamma: float, delta: float, pa, pb, pc) -> np.ndarray:
+    """Born-rule probabilities ``|<psi_lmn|psi_f>|^2``, shape ``(N, 8)``, in ``OUTCOMES`` order.
+
+    Each player argument is ``(theta, alpha, beta)`` with shape ``(3,)`` or
+    ``(N, 3)``; the three broadcast against each other, so one batched player
+    facing two fixed ones costs no copies of the fixed moves.
+
+    Raises:
+        ValueError: if an argument has the wrong shape, an angle is
+            non-finite or out of range, or a row fails to sum to 1 within
+            ``ATOL`` (a bug, not a legitimate input).
+    """
+    gamma = _check_range("gamma", gamma, 0.0, math.pi / 2)
+    delta = _check_range("delta", delta, 0.0, math.pi / 2)
+    players = [np.asarray(p, dtype=float) for p in (pa, pb, pc)]
+    for name, p in zip(PLAYERS, players):
+        if p.ndim not in (1, 2) or p.shape[-1] != 3:
+            raise ValueError(
+                f"player {name} needs (theta, alpha, beta) of shape (3,) or (N, 3), "
+                f"got shape {p.shape}"
+            )
+    # All players' rows go through one range check and one move evaluation.
+    rows = np.concatenate([p.reshape(-1, 3) for p in players])
+    # NaN fails both comparisons, so this also rejects non-finite angles.
+    if not np.all((_PARAM_LO <= rows) & (rows <= _PARAM_HI)):
+        raise ValueError(
+            "player angles must satisfy 0 <= theta <= pi and -pi <= alpha, beta <= pi"
+        )
+    na, nb = (p.size // 3 for p in players[:2])
+    parts = np.split(moves(rows), [na, na + nb])
+    ua, ub, uc = (u.reshape(p.shape[:-1] + (2, 2)) for u, p in zip(parts, players))
+
+    def branch(j: int) -> np.ndarray:
+        # U_A|j> (x) U_B|j> (x) U_C|j>, Alice on the most significant bit
+        a, b, c = ua[..., :, j], ub[..., :, j], uc[..., :, j]
+        product = a[..., :, None, None] * b[..., None, :, None] * c[..., None, None, :]
+        return product.reshape(-1, 8)
+
+    # Only |000> and |111> are occupied initially.
+    psi = math.cos(gamma / 2) * branch(0)
+    psi += 1j * math.sin(gamma / 2) * branch(1)
+    # <psi_lmn|psi> = cos(delta/2) psi[lmn] -+ i sin(delta/2) psi[l'm'n'],
+    # and the complement of index b is 7 - b.
+    amp = (-1j * math.sin(delta / 2) * _SIGNS) * psi[:, ::-1]
+    amp += math.cos(delta / 2) * psi
+    probs = amp.real**2 + amp.imag**2
+    worst = float(np.max(np.abs(probs.sum(axis=1) - 1.0)))
+    if worst > ATOL:
+        raise ValueError(f"outcome probabilities sum to 1 +- {worst!r}, beyond {ATOL}")
+    return probs
 
 
 def outcome_distribution(
     config: GameConfig, pa: StrategyParams, pb: StrategyParams, pc: StrategyParams
 ) -> OutcomeDistribution:
-    """Born-rule outcome probabilities ``<psi_lmn| rho_f |psi_lmn>``.
-
-    Raises:
-        ValueError: if a probability falls below the roundoff floor or the
-            distribution fails to sum to 1 within 1e-12 (both indicate a bug,
-            not a legitimate input).
-    """
-    rho_f = final_density(config, pa, pb, pc)
-    probs: dict[str, float] = {}
-    for outcome, v in zip(OUTCOMES, measurement_basis(config.delta)):
-        p = float(np.real(np.vdot(v, rho_f @ v)))
-        if p < NEG_PROB_FLOOR:
-            raise ValueError(f"probability of {outcome} is {p!r}, below the roundoff floor")
-        probs[outcome] = max(p, 0.0)
-    total = sum(probs.values())
-    if abs(total - 1.0) > ATOL:
-        raise ValueError(f"outcome probabilities sum to {total!r}, not 1")
-    return OutcomeDistribution(probs)
+    """Born-rule outcome probabilities ``<psi_lmn| rho_f |psi_lmn>`` for one profile."""
+    probs = outcome_probabilities(
+        config.gamma, config.delta, pa.as_tuple(), pb.as_tuple(), pc.as_tuple()
+    )
+    return OutcomeDistribution(dict(zip(OUTCOMES, probs[0].tolist())))
 
 
 def expected_payoffs(
     config: GameConfig, pa: StrategyParams, pb: StrategyParams, pc: StrategyParams
 ) -> PayoffTriple:
     """Trace-rule expected payoffs: the canonical oracle for this package."""
-    dist = outcome_distribution(config, pa, pb, pc).as_array()
-    values = [float(config.payoffs.column(k) @ dist) for k in range(3)]
-    return PayoffTriple(*values)
+    probs = outcome_probabilities(
+        config.gamma, config.delta, pa.as_tuple(), pb.as_tuple(), pc.as_tuple()
+    )
+    return PayoffTriple(*(float(probs[0] @ config.payoffs.column(k)) for k in range(3)))
 
 
 def classical_payoff(

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from qpd3 import GameConfig, StrategyParams
+from qpd3 import GameConfig, StrategyParams, initial_state, measurement_basis
 
 
 @pytest.fixture
@@ -22,6 +22,29 @@ def random_params(rng) -> StrategyParams:
 
 def random_config(rng) -> GameConfig:
     return GameConfig(rng.uniform(0.0, math.pi / 2), rng.uniform(0.0, math.pi / 2))
+
+
+def _move(theta, alpha, beta) -> np.ndarray:
+    """``U = cos(theta/2) R(alpha) + sin(theta/2) P(beta)`` as the README writes it."""
+    r = np.diag([np.exp(1j * alpha), np.exp(-1j * alpha)])
+    p = np.array(
+        [[0.0, np.exp(1j * (math.pi / 2 + beta))], [np.exp(1j * (math.pi / 2 - beta)), 0.0]]
+    )
+    return math.cos(theta / 2) * r + math.sin(theta / 2) * p
+
+
+def trace_rule_payoffs(config: GameConfig, pa, pb, pc) -> tuple[float, float, float]:
+    """Reference payoffs from the density-matrix trace rule ``<psi_lmn| rho_f |psi_lmn>``.
+
+    Each player is a ``(theta, alpha, beta)`` triple.  Shares no code with the
+    package's kernel beyond the initial state and the measurement basis.
+    """
+    u = np.kron(np.kron(_move(*pa), _move(*pb)), _move(*pc))
+    psi0 = initial_state(config.gamma)
+    rho_f = u @ np.outer(psi0, psi0.conj()) @ u.conj().T
+    assert abs(np.trace(rho_f) - 1.0) < 1e-12
+    probs = np.array([np.vdot(v, rho_f @ v).real for v in measurement_basis(config.delta)])
+    return tuple(float(probs @ config.payoffs.column(k)) for k in range(3))
 
 
 # Printed reference protocol tables, re-keyed here independently of the

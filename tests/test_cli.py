@@ -233,6 +233,17 @@ class TestPayoffTableFile:
         with pytest.raises(UsageError):
             load_payoff_table(str(table_file))
 
+    def test_missing_file_exits_with_message(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["payoff", "--gamma", "0", "--delta", "0",
+                  "--alice", "0,0,0", "--bob", "0,0,0", "--charlie", "0,0,0",
+                  "--payoffs", str(missing)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+        assert err.count("\n") == 1
+
 
 class TestAtomicWrite:
     def test_writes_complete_file(self, tmp_path):
@@ -240,6 +251,16 @@ class TestAtomicWrite:
         atomic_write(str(target), "hello\n")
         assert target.read_text() == "hello\n"
         assert list(tmp_path.iterdir()) == [target]
+
+    def test_missing_directory_exits_with_message(self, tmp_path, capsys):
+        out = tmp_path / "missing-dir" / "x.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table", "--gamma", "0", "--delta", "0", "--out", str(out)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing-dir" in err
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_run_leaves_no_output(self, tmp_path):
         out = tmp_path / "never.json"

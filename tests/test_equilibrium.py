@@ -9,13 +9,12 @@ from qpd3 import (
     Profile,
     StrategyParams,
     best_response,
-    expected_payoffs,
     four_case_scan,
     verify_nash,
 )
 from qpd3.equilibrium import _batched_payoffs, _candidate_params
 
-from conftest import random_params
+from conftest import random_params, trace_rule_payoffs
 
 HALF_PI = math.pi / 2
 SMALL_GRID = GridSpec(5, 5, 5)
@@ -61,21 +60,25 @@ class TestGridSpec:
 
 
 class TestBatchedKernel:
-    def test_matches_oracle_pointwise(self, rng):
-        # the grid kernel is an optimization of the same trace rule; it must
-        # agree with the canonical oracle exactly
-        for _ in range(25):
+    def test_grid_path_matches_trace_rule(self, rng):
+        # 10 configs x 100 candidate rows = 1000 seeded profiles, spread over
+        # all three deviating players
+        for trial in range(10):
             config = GameConfig(rng.uniform(0, HALF_PI), rng.uniform(0, HALF_PI))
-            profile = [random_params(rng) for _ in range(3)]
-            for player in range(3):
-                others = tuple(p for i, p in enumerate(profile) if i != player)
-                batched = _batched_payoffs(player, [profile[player]], others, config)
-                direct = expected_payoffs(config, *profile)[player]
-                assert abs(batched[0] - direct) < 1e-12
+            player = trial % 3
+            candidates = np.array([random_params(rng).as_tuple() for _ in range(100)])
+            others = (random_params(rng), random_params(rng))
+            batched = _batched_payoffs(player, candidates, others, config)
+            for row, got in zip(candidates, batched):
+                profile = [p.as_tuple() for p in others]
+                profile.insert(player, tuple(row))
+                assert abs(got - trace_rule_payoffs(config, *profile)[player]) < 1e-12
 
     def test_candidates_are_lexicographic(self):
-        pts = [p.as_tuple() for p in _candidate_params(SMALL_GRID)]
-        assert pts == sorted(pts)
+        pts = _candidate_params(SMALL_GRID)
+        assert pts.shape == (SMALL_GRID.size(), 3)
+        rows = [tuple(p) for p in pts]
+        assert rows == sorted(set(rows))
 
 
 class TestBestResponse:

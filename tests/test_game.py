@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpd3 import (
     DEFAULT_PAYOFF_TABLE,
@@ -15,11 +17,12 @@ from qpd3 import (
     measurement_basis,
     measurement_projectors,
     outcome_distribution,
+    outcome_probabilities,
     payoff_operator,
     strategy_unitary,
 )
 
-from conftest import random_config, random_params
+from conftest import random_config, random_params, trace_rule_payoffs
 
 HALF_PI = math.pi / 2
 
@@ -237,6 +240,88 @@ class TestExpectedPayoffs:
             )
             for value in got.as_tuple():
                 assert lo - 1e-12 <= value <= hi + 1e-12
+
+
+class TestOutcomeProbabilities:
+    def test_expected_payoffs_match_trace_rule(self, rng):
+        for _ in range(1000):
+            config = random_config(rng)
+            profile = [random_params(rng) for _ in range(3)]
+            got = expected_payoffs(config, *profile).as_tuple()
+            want = trace_rule_payoffs(config, *(p.as_tuple() for p in profile))
+            assert max(abs(a - b) for a, b in zip(got, want)) < 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.floats(0.0, HALF_PI),
+        st.floats(0.0, HALF_PI),
+        st.lists(
+            st.tuples(
+                st.floats(0.0, math.pi),
+                st.floats(-math.pi, math.pi),
+                st.floats(-math.pi, math.pi),
+            ),
+            min_size=3,
+            max_size=3,
+        ),
+    )
+    def test_expected_payoffs_match_trace_rule_anywhere(self, gamma, delta, profile):
+        config = GameConfig(gamma, delta)
+        got = expected_payoffs(config, *(StrategyParams(*p) for p in profile)).as_tuple()
+        want = trace_rule_payoffs(config, *profile)
+        assert max(abs(a - b) for a, b in zip(got, want)) < 1e-12
+
+    def test_batched_rows_equal_single_profiles(self, rng):
+        config = random_config(rng)
+        rows = np.array([random_params(rng).as_tuple() for _ in range(3 * 50)]).reshape(3, 50, 3)
+        fixed = [random_params(rng).as_tuple() for _ in range(3)]
+        for k in range(3):
+            players = list(fixed)
+            players[k] = rows[k]
+            batch = outcome_probabilities(config.gamma, config.delta, *players)
+            assert batch.shape == (50, 8)
+            for i, row in enumerate(rows[k]):
+                players[k] = row
+                single = outcome_probabilities(config.gamma, config.delta, *players)
+                assert single.shape == (1, 8)
+                assert np.array_equal(batch[i], single[0])
+        batch = outcome_probabilities(config.gamma, config.delta, *rows)
+        for i in range(50):
+            single = outcome_probabilities(config.gamma, config.delta, *rows[:, i])
+            assert np.array_equal(batch[i], single[0])
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            (-0.01, 0.0, 0.0),
+            (math.pi + 0.01, 0.0, 0.0),
+            (0.0, 3.5, 0.0),
+            (0.0, 0.0, -3.5),
+            (math.nan, 0.0, 0.0),
+            (0.0, math.inf, 0.0),
+        ],
+    )
+    def test_rejects_bad_player_angles(self, k, bad):
+        players = [(0.0, 0.0, 0.0)] * 3
+        players[k] = bad
+        with pytest.raises(ValueError):
+            outcome_probabilities(0.3, 0.7, *players)
+        players[k] = np.vstack([np.zeros((4, 3)), bad])  # one bad row in a batch
+        with pytest.raises(ValueError):
+            outcome_probabilities(0.3, 0.7, *players)
+
+    @pytest.mark.parametrize("bad", [(0.0, 0.0), np.zeros((4, 2)), np.zeros((2, 2, 3))])
+    def test_rejects_bad_player_shapes(self, bad):
+        with pytest.raises(ValueError):
+            outcome_probabilities(0.3, 0.7, bad, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "gamma,delta", [(math.nan, 0.0), (0.0, math.nan), (-0.1, 0.0), (0.0, math.pi)]
+    )
+    def test_rejects_bad_config_angles(self, gamma, delta):
+        with pytest.raises(ValueError):
+            outcome_probabilities(gamma, delta, *[(0.0, 0.0, 0.0)] * 3)
 
 
 class TestClassicalPayoff:
