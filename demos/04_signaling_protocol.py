@@ -30,13 +30,14 @@ def transmit(table, bits, common):
     row = [c.bits for c in CODEWORDS].index(bits)
     col = table.column_index(common)
     payoff = table.entry(row, col)
-    observed = PAIR.key(payoff)
+    observed = PAIR.components(payoff)
     result = decode(table, common, observed, PAIR)
     decoded = "/".join(c.bits for c in result.candidates)
     print(
         f"  Alice sends {bits}; payoffs (A,B,C) = "
         f"{tuple(round(x, 4) for x in payoff.as_tuple())}; Bob & Charlie see "
-        f"{observed} and decode -> {decoded} ({result.bits_resolved:g} bits)"
+        f"{tuple(round(x, 4) for x in observed)} and decode -> {decoded} "
+        f"({result.bits_resolved:g} bits)"
     )
 
 

@@ -52,12 +52,15 @@ from .comms import (
 )
 from .equilibrium import GridSpec, Profile, four_case_scan, verify_nash
 from .game import (
+    ATOL,
     OUTCOMES,
+    PAYOFF_TOL,
     GameConfig,
     PayoffTable,
     StrategyParams,
     expected_payoffs,
     measurement_basis,
+    measurement_projectors,
     outcome_distribution,
 )
 
@@ -161,14 +164,8 @@ def render_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(doc: dict, args, table_csv_rows=None) -> None:
-    if getattr(args, "format", "json") == "csv" and table_csv_rows is not None:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerows(table_csv_rows)
-        payload = buf.getvalue()
-    else:
-        payload = render_json(doc)
+def _emit(args, payload: str) -> None:
+    """Write a rendered report to ``--out`` (atomically) or to stdout."""
     if args.out:
         atomic_write(args.out, payload)
     else:
@@ -211,19 +208,19 @@ def cmd_payoff(args) -> int:
     discrepancies = []
     if args.fixture == "table1":
         pure = all(
-            min(abs(p.theta), abs(p.theta - math.pi)) <= 1e-12 for p in profile
+            min(abs(p.theta), abs(p.theta - math.pi)) <= ATOL for p in profile
         )
         classical = config.gamma == 0.0 and config.delta == 0.0
         if pure and classical:
             outcome = "".join(
-                "1" if abs(p.theta - math.pi) <= 1e-12 else "0" for p in profile
+                "1" if abs(p.theta - math.pi) <= ATOL else "0" for p in profile
             )
             # "table1" names the shipped classic table, not whatever table the
             # run was configured with
             expected = PayoffTable.default().triple(outcome)
             fixtures["table1"] = {"outcome": outcome, "payoffs": list(expected)}
             delta = [abs(a - b) for a, b in zip(triple.as_tuple(), expected)]
-            if max(delta) > 1e-9:
+            if max(delta) > PAYOFF_TOL:
                 discrepancies.append(
                     {"what": "payoff vs table1", "outcome": outcome, "delta": delta}
                 )
@@ -249,13 +246,13 @@ def cmd_payoff(args) -> int:
         discrepancies=discrepancies,
     )
     if args.out:
-        _emit(doc, args)
+        _emit(args, render_json(doc))
     else:
         sys.stdout.write(_fmt_triple(triple) + "\n")
     return 0
 
 
-def _table_fixture_diff(oracle: ProtocolTable, fixture: ProtocolTable, tol: float = 1e-9):
+def _table_fixture_diff(oracle: ProtocolTable, fixture: ProtocolTable):
     """Per-entry deltas between an oracle table and a published fixture."""
     compared = []
     discrepancies = []
@@ -273,7 +270,7 @@ def _table_fixture_diff(oracle: ProtocolTable, fixture: ProtocolTable, tol: floa
                     "delta": delta,
                 }
             )
-            if max(abs(d) for d in delta) > tol:
+            if max(abs(d) for d in delta) > PAYOFF_TOL:
                 discrepancies.append(
                     {
                         "what": f"oracle vs {fixture.label}",
@@ -288,7 +285,7 @@ def _table_fixture_diff(oracle: ProtocolTable, fixture: ProtocolTable, tol: floa
 def _auto_fixture(gamma: float, delta: float) -> str | None:
     for name, configs in FIXTURE_CONFIGS.items():
         for g, d in configs:
-            if abs(gamma - g) <= 1e-12 and abs(delta - d) <= 1e-12:
+            if abs(gamma - g) <= ATOL and abs(delta - d) <= ATOL:
                 return name
     return None
 
@@ -298,8 +295,6 @@ def cmd_table(args) -> int:
     oracle = protocol_table(gamma, delta, _table_for(args))
 
     fixture_name = args.fixture or _auto_fixture(gamma, delta)
-    if fixture_name == "table1":
-        raise UsageError("the 'table' command diffs protocol tables; use table2 or table3")
     fixtures = {}
     discrepancies = []
     verdicts = {}
@@ -317,15 +312,20 @@ def cmd_table(args) -> int:
         discrepancies=discrepancies,
     )
 
-    csv_rows = [["codeword", "theta_b", "theta_c", "alice", "bob", "charlie"]]
-    for i, cw in enumerate(CODEWORDS):
-        for j, col in enumerate(COLUMNS):
-            t = oracle.entry(i, j)
-            csv_rows.append(
-                [cw.bits, f"{col[0]:.10g}", f"{col[1]:.10g}"]
-                + [f"{x:.12g}" for x in t.as_tuple()]
-            )
-    _emit(doc, args, table_csv_rows=csv_rows)
+    if args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["codeword", "theta_b", "theta_c", "alice", "bob", "charlie"])
+        for i, cw in enumerate(CODEWORDS):
+            for j, col in enumerate(COLUMNS):
+                writer.writerow(
+                    [cw.bits, f"{col[0]:.10g}", f"{col[1]:.10g}"]
+                    + [f"{x:.12g}" for x in oracle.entry(i, j).as_tuple()]
+                )
+        payload = buf.getvalue()
+    else:
+        payload = render_json(doc)
+    _emit(args, payload)
     return 0
 
 
@@ -333,14 +333,13 @@ def cmd_nash(args) -> int:
     grid = parse_grid(args.grid) if args.grid else GridSpec()
     table = _table_for(args)
     if args.scan:
-        scan = four_case_scan(table, grid, tol=args.tol, partner_phases=args.partner_phases)
+        scan = four_case_scan(table, grid, partner_phases=args.partner_phases)
         record = scan.to_record()
         doc = _report_doc(
             inputs={
                 "command": "nash",
                 "mode": "scan",
                 "grid": grid.to_record(),
-                "tol": args.tol,
                 "partner_phases": args.partner_phases,
             },
             results=record,
@@ -359,7 +358,7 @@ def cmd_nash(args) -> int:
         profile = Profile(
             parse_params(args.alice), parse_params(args.bob), parse_params(args.charlie)
         )
-        report = verify_nash(profile, config, grid, tol=args.tol)
+        report = verify_nash(profile, config, grid)
         doc = _report_doc(
             inputs={
                 "command": "nash",
@@ -367,18 +366,20 @@ def cmd_nash(args) -> int:
                 "gamma": config.gamma,
                 "delta": config.delta,
                 "grid": grid.to_record(),
-                "tol": args.tol,
             },
             results=report.to_record(),
             verdicts={"is_nash": report.is_nash},
         )
-    _emit(doc, args)
+    _emit(args, render_json(doc))
     return 0
 
 
+#: ``--model`` choices and the ``ObservationModel.visible`` names they select.
+_MODEL_VISIBLE = {"own": "own", "pair": "bob-and-charlie", "full": "full-triple"}
+
+
 def _model_from(args) -> ObservationModel:
-    visible = {"own": "own", "pair": "bob-and-charlie", "full": "full-triple"}[args.model]
-    return ObservationModel(visible=visible, rounding=args.rounding)
+    return ObservationModel(visible=_MODEL_VISIBLE[args.model])
 
 
 def cmd_comm_simulate(args) -> int:
@@ -389,7 +390,7 @@ def cmd_comm_simulate(args) -> int:
     wanted_common = None
     if args.common:
         wanted_common = parse_pair(args.common)
-        if abs(wanted_common[0] - wanted_common[1]) > 1e-12:
+        if abs(wanted_common[0] - wanted_common[1]) > ATOL:
             raise UsageError("the protocol agreement is a common move; use 0,0 or pi,pi")
 
     transmissions = []
@@ -402,7 +403,7 @@ def cmd_comm_simulate(args) -> int:
             if wanted_common is not None and wanted_common != col:
                 continue
             payoff = table.entry(cw_index, j)
-            observed = model.key(payoff)
+            observed = model.components(payoff)
             result = decode(table, col, observed, model)
             transmissions.append(
                 {
@@ -415,12 +416,8 @@ def cmd_comm_simulate(args) -> int:
             )
 
     info = {
-        name: information_bits(table, ObservationModel(visible=vis, rounding=args.rounding))
-        for name, vis in (
-            ("own", "own"),
-            ("pair", "bob-and-charlie"),
-            ("full", "full-triple"),
-        )
+        name: information_bits(table, ObservationModel(visible=vis))
+        for name, vis in _MODEL_VISIBLE.items()
     }
     doc = _report_doc(
         inputs={
@@ -428,7 +425,6 @@ def cmd_comm_simulate(args) -> int:
             "gamma": gamma,
             "delta": delta,
             "model": model.visible,
-            "rounding": model.rounding,
         },
         results={
             "table": table.to_record(),
@@ -437,14 +433,12 @@ def cmd_comm_simulate(args) -> int:
         },
         verdicts={"fully_decodable": info[args.model] == 2.0},
     )
-    _emit(doc, args)
+    _emit(args, render_json(doc))
     return 0
 
 
 def cmd_comm_decode(args) -> int:
     if args.fixture:
-        if args.fixture == "table1":
-            raise UsageError("decode needs a protocol table fixture: table2 or table3")
         table = fixture_table(args.fixture)
     else:
         if args.gamma is None or args.delta is None:
@@ -468,7 +462,6 @@ def cmd_comm_decode(args) -> int:
             "common": list(common),
             "observed": list(observed),
             "model": model.visible,
-            "rounding": model.rounding,
         },
         results={
             "decoded": result.to_record(),
@@ -477,7 +470,7 @@ def cmd_comm_decode(args) -> int:
         verdicts={"unique": len(result.candidates) == 1},
     )
     if args.out:
-        _emit(doc, args)
+        _emit(args, render_json(doc))
     else:
         bits = ",".join(c.bits for c in result.candidates)
         sys.stdout.write(
@@ -526,7 +519,7 @@ def build_verify_bundle(seed: int, grid: GridSpec | None = None) -> tuple[dict, 
             got = expected_payoffs(GameConfig(0.0, 0.0, table), *profile)
             worst = max(worst, max(abs(a - b) for a, b in zip(got.as_tuple(), expected)))
     results["classical_limit"] = _check(
-        "classical_limit", worst <= 1e-12, {"max_abs_error": worst}, hard
+        "classical_limit", worst <= ATOL, {"max_abs_error": worst}, hard
     )
 
     # Measurement basis: orthonormal and complete across a delta sweep.
@@ -535,11 +528,11 @@ def build_verify_bundle(seed: int, grid: GridSpec | None = None) -> tuple[dict, 
         basis = np.stack(measurement_basis(float(delta)))
         gram = basis.conj() @ basis.T
         worst_gram = max(worst_gram, float(np.max(np.abs(gram - np.eye(8)))))
-        proj_sum = sum(np.outer(v, v.conj()) for v in basis)
+        proj_sum = sum(measurement_projectors(float(delta)))
         worst_sum = max(worst_sum, float(np.max(np.abs(proj_sum - np.eye(8)))))
     results["basis_completeness"] = _check(
         "basis_completeness",
-        worst_gram <= 1e-12 and worst_sum <= 1e-12,
+        worst_gram <= ATOL and worst_sum <= ATOL,
         {"max_gram_error": worst_gram, "max_projector_sum_error": worst_sum},
         hard,
     )
@@ -559,7 +552,7 @@ def build_verify_bundle(seed: int, grid: GridSpec | None = None) -> tuple[dict, 
         total = sum(outcome_distribution(config, *profile).probs.values())
         worst_total = max(worst_total, abs(total - 1.0))
     results["born_conservation"] = _check(
-        "born_conservation", worst_total <= 1e-12, {"max_abs_sum_error": worst_total}, hard
+        "born_conservation", worst_total <= ATOL, {"max_abs_sum_error": worst_total}, hard
     )
 
     # Four-regime scan: the PP and EE values are analytically forced; the
@@ -571,13 +564,13 @@ def build_verify_bundle(seed: int, grid: GridSpec | None = None) -> tuple[dict, 
     ee = scan.report_for("EE").payoff
     results["pp_value"] = _check(
         "pp_value",
-        max(abs(x - 1.0) for x in pp.as_tuple()) <= 1e-9,
+        max(abs(x - 1.0) for x in pp.as_tuple()) <= PAYOFF_TOL,
         {"payoff": list(pp.as_tuple())},
         hard,
     )
     results["ee_value"] = _check(
         "ee_value",
-        max(abs(x - 3.0) for x in ee.as_tuple()) <= 1e-9,
+        max(abs(x - 3.0) for x in ee.as_tuple()) <= PAYOFF_TOL,
         {"payoff": list(ee.as_tuple())},
         hard,
     )
@@ -599,11 +592,11 @@ def build_verify_bundle(seed: int, grid: GridSpec | None = None) -> tuple[dict, 
     unrestricted = compare_to_oracle(sample_any, 1000, seed=seed + 1)
     results["closed_form_classical"] = _check(
         "closed_form_classical",
-        restricted.max_abs_delta < 1e-9,
+        restricted.max_abs_delta < PAYOFF_TOL,
         {"max_abs_delta": restricted.max_abs_delta},
         hard,
     )
-    unrestricted_record = unrestricted.to_record(include_samples=False)
+    unrestricted_record = unrestricted.to_record()
     deltas = sorted(max(s.delta_abs) for s in unrestricted.samples)
     unrestricted_record["delta_distribution"] = {
         "per_sample_max_abs_delta": deltas,
@@ -680,7 +673,7 @@ def build_verify_bundle(seed: int, grid: GridSpec | None = None) -> tuple[dict, 
             "seed": seed,
             "grid": grid.to_record(),
             "version": __version__,
-            "tolerances": {"algebraic": 1e-12, "payoff": 1e-9},
+            "tolerances": {"algebraic": ATOL, "payoff": PAYOFF_TOL},
         },
         results=results,
         fixtures_compared=fixtures_compared,
@@ -694,11 +687,7 @@ def cmd_verify(args) -> int:
     seed = _resolve_seed(args)
     grid = parse_grid(args.grid) if args.grid else GridSpec()
     doc, hard = build_verify_bundle(seed, grid)
-    payload = render_json(doc)
-    if args.out:
-        atomic_write(args.out, payload)
-    else:
-        sys.stdout.write(payload)
+    _emit(args, render_json(doc))
     for name, entry in doc["results"].items():
         if isinstance(entry, dict) and "pass" in entry:
             status = "pass" if entry["pass"] else "FAIL"
@@ -714,8 +703,7 @@ def cmd_verify(args) -> int:
 # parser
 
 
-def _add_common_output(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+def _add_out(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the report here (atomically); default prints")
 
 
@@ -739,15 +727,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--charlie", required=True, metavar="T,A,B")
     p.add_argument("--fixture", choices=("table1",), help="compare against the base table")
     _add_payoff_source(p)
-    _add_common_output(p)
+    _add_out(p)
     p.set_defaults(func=cmd_payoff)
 
     p = sub.add_parser("table", help="oracle protocol table, diffed against a fixture")
     p.add_argument("--gamma", required=True)
     p.add_argument("--delta", required=True)
-    p.add_argument("--fixture", choices=("table1", "table2", "table3"))
+    p.add_argument("--fixture", choices=("table2", "table3"))
     _add_payoff_source(p)
-    _add_common_output(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    _add_out(p)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("nash", help="grid-Nash certificate or four-regime scan")
@@ -757,7 +746,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bob", metavar="T,A,B")
     p.add_argument("--charlie", metavar="T,A,B")
     p.add_argument("--grid", metavar="T,A,B", help="points per axis (default 25,17,17)")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--scan", action="store_true", help="run the four-regime scan")
     p.add_argument(
         "--partner-phases",
@@ -766,7 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="partner_phases",
     )
     _add_payoff_source(p)
-    _add_common_output(p)
+    _add_out(p)
     p.set_defaults(func=cmd_nash)
 
     p = sub.add_parser("comm", help="signaling protocol simulation and decoding")
@@ -777,29 +765,27 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--delta", required=True)
     ps.add_argument("--codeword", choices=[c.bits for c in CODEWORDS])
     ps.add_argument("--common", metavar="T,T", help="restrict to one common move")
-    ps.add_argument("--model", choices=("own", "pair", "full"), default="pair")
-    ps.add_argument("--rounding", type=int, default=9)
+    ps.add_argument("--model", choices=tuple(_MODEL_VISIBLE), default="pair")
     _add_payoff_source(ps)
-    _add_common_output(ps)
+    _add_out(ps)
     ps.set_defaults(func=cmd_comm_simulate)
 
     pd = comm_sub.add_parser("decode", help="decode observed payoffs")
-    pd.add_argument("--fixture", choices=("table1", "table2", "table3"))
+    pd.add_argument("--fixture", choices=("table2", "table3"))
     pd.add_argument("--gamma")
     pd.add_argument("--delta")
     pd.add_argument("--common", required=True, metavar="T,T")
     pd.add_argument("--observed", required=True, metavar="P[,P[,P]]")
-    pd.add_argument("--model", choices=("own", "pair", "full"), default="pair")
-    pd.add_argument("--rounding", type=int, default=9)
+    pd.add_argument("--model", choices=tuple(_MODEL_VISIBLE), default="pair")
     _add_payoff_source(pd)
-    _add_common_output(pd)
+    _add_out(pd)
     pd.set_defaults(func=cmd_comm_decode)
 
     p = sub.add_parser("verify", help="full verification bundle")
     p.add_argument("--seed", type=int, help=f"default {DEFAULT_SEED}, or ${SEED_ENV_VAR}")
     p.add_argument("--grid", metavar="T,A,B")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_verify, format="json")
+    _add_out(p)
+    p.set_defaults(func=cmd_verify)
 
     return parser
 

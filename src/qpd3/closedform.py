@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .game import (
+    ATOL,
     OUTCOMES,
     GameConfig,
     PayoffTriple,
@@ -172,7 +173,7 @@ def max_entanglement_payoffs(
         ValueError: unless ``gamma`` and ``delta`` both equal pi/2.
     """
     half_pi = math.pi / 2
-    if abs(config.gamma - half_pi) > 1e-12 or abs(config.delta - half_pi) > 1e-12:
+    if abs(config.gamma - half_pi) > ATOL or abs(config.delta - half_pi) > ATOL:
         raise ValueError("max_entanglement_payoffs requires gamma = delta = pi/2")
     coupling = math.sin(config.gamma) * math.sin(config.delta)
     ca, cb, cc = (math.cos(p.theta / 2) ** 2 for p in (pa, pb, pc))
@@ -222,16 +223,6 @@ class ComparisonSample:
     closed_form: tuple[float, float, float]
     delta_abs: tuple[float, float, float]
 
-    def to_record(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "delta": self.delta,
-            "params": [list(p) for p in self.params],
-            "oracle": list(self.oracle),
-            "closed_form": list(self.closed_form),
-            "delta_abs": list(self.delta_abs),
-        }
-
 
 @dataclass(frozen=True)
 class ComparisonReport:
@@ -253,16 +244,13 @@ class ComparisonReport:
         flat = [d for s in self.samples for d in s.delta_abs]
         return sum(flat) / len(flat)
 
-    def to_record(self, include_samples: bool = True) -> dict:
-        record = {
+    def to_record(self) -> dict:
+        return {
             "seed": self.seed,
             "sample_count": self.sample_count,
             "max_abs_delta": self.max_abs_delta,
             "mean_abs_delta": self.mean_abs_delta,
         }
-        if include_samples:
-            record["samples"] = [s.to_record() for s in self.samples]
-        return record
 
 
 def _random_params(rng: np.random.Generator) -> StrategyParams:

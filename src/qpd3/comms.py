@@ -6,7 +6,8 @@ beta = pi/2 and to theta in {0, pi}, and agree beforehand to play a common
 move.  After the arbiter announces payoffs, they look their observed payoffs
 up in the protocol's 4x4 table (codeword rows x move-pair columns) to
 recover Alice's codeword: dense-coding-like signaling where the strategy
-itself is the carrier.
+itself is the carrier.  Decoding and the information metric share one rule:
+an observation matches an entry when each visible payoff is within ``PAYOFF_TOL``.
 
 Tables come in two provenances: ``oracle`` tables computed by the trace
 rule, and ``published`` fixtures reproducing the corresponding printed
@@ -21,6 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .game import (
+    ATOL,
+    PAYOFF_TOL,
     GameConfig,
     PayoffTable,
     PayoffTriple,
@@ -62,23 +65,20 @@ _VISIBILITIES = ("own", "bob-and-charlie", "full-triple")
 
 @dataclass(frozen=True)
 class ObservationModel:
-    """What a decoding party sees and at what numeric resolution.
+    """What a decoding party sees of the announced payoffs.
 
     ``visible`` picks the payoff components used for matching: ``"own"`` is
     the single payoff of the canonical restricted observer (Bob),
     ``"bob-and-charlie"`` the pair both restricted players pool, and
-    ``"full-triple"`` all three values.  ``rounding`` is the number of
-    decimal places payoffs are rounded to before comparison.
+    ``"full-triple"`` all three values.  An observation matches a payoff
+    triple when each visible component lies within ``PAYOFF_TOL`` of it.
     """
 
     visible: str = "bob-and-charlie"
-    rounding: int = 9
 
     def __post_init__(self):
         if self.visible not in _VISIBILITIES:
             raise ValueError(f"visible must be one of {_VISIBILITIES}, got {self.visible!r}")
-        if self.rounding < 0:
-            raise ValueError("rounding must be a non-negative number of decimal places")
 
     def components(self, triple: PayoffTriple) -> tuple[float, ...]:
         if self.visible == "own":
@@ -87,8 +87,9 @@ class ObservationModel:
             return (triple.bob, triple.charlie)
         return triple.as_tuple()
 
-    def key(self, triple: PayoffTriple) -> tuple[float, ...]:
-        return tuple(round(x, self.rounding) for x in self.components(triple))
+    def matches(self, triple: PayoffTriple, observed: tuple[float, ...]) -> bool:
+        """Whether each visible component of ``triple`` is within ``PAYOFF_TOL`` of ``observed``."""
+        return all(abs(x - y) <= PAYOFF_TOL for x, y in zip(self.components(triple), observed))
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,7 @@ class ProtocolTable:
 
     def column_index(self, move_pair: tuple[float, float]) -> int:
         for j, col in enumerate(COLUMNS):
-            if all(abs(a - b) <= 1e-12 for a, b in zip(col, move_pair)):
+            if all(abs(a - b) <= ATOL for a, b in zip(col, move_pair)):
                 return j
         raise ValueError(f"move pair {move_pair!r} is not a table column")
 
@@ -259,17 +260,14 @@ def decode(
     """
     model = ObservationModel() if model is None else model
     col = table.column_index(common_move_pair)
-    observed_key = tuple(round(float(x), model.rounding) for x in observed)
     expected_len = len(model.components(table.entry(0, 0)))
-    if len(observed_key) != expected_len:
+    if len(observed) != expected_len:
         raise ValueError(
             f"model {model.visible!r} needs {expected_len} observed component(s), "
-            f"got {len(observed_key)}"
+            f"got {len(observed)}"
         )
     candidates = tuple(
-        cw
-        for cw, row in zip(CODEWORDS, table.entries)
-        if model.key(row[col]) == observed_key
+        cw for cw, row in zip(CODEWORDS, table.entries) if model.matches(row[col], observed)
     )
     if not candidates:
         raise ValueError(
@@ -284,19 +282,20 @@ def decode(
 def information_bits(table: ProtocolTable, model: ObservationModel | None = None) -> float:
     """Bits about Alice's codeword recoverable in the worst case.
 
-    For each column, decode each of the four equiprobable codewords from its
-    own table entry and average the bits resolved; the metric is the minimum
-    of that average over columns, since Bob and Charlie commit to their move
-    before Alice's choice is revealed.  2.0 means every column separates all
-    four codewords.
+    In each column, a codeword whose entry matches ``k`` of the column's
+    entries resolves ``2 - log2(k)`` bits; the metric is the minimum over
+    columns of the average over the four equiprobable codewords, since Bob
+    and Charlie commit to their move before Alice's choice is revealed.  2.0
+    means every column separates all four codewords.
     """
     model = ObservationModel() if model is None else model
     column_bits = []
     for col in range(len(COLUMNS)):
-        keys = [model.key(table.entry(row, col)) for row in range(4)]
+        entries = [table.entry(row, col) for row in range(4)]
         total = 0.0
-        for key in keys:
-            matches = keys.count(key)
+        for entry in entries:
+            observed = model.components(entry)
+            matches = sum(model.matches(other, observed) for other in entries)
             total += 2.0 - math.log2(matches)
         column_bits.append(total / 4.0)
     return min(column_bits)
@@ -314,23 +313,20 @@ class InfoRelationReport:
     model: ObservationModel
     values: dict[str, float]
 
-    def verdicts(self, tol: float = 1e-9) -> dict:
+    def verdicts(self) -> dict:
         v = self.values
-        return {
-            "pp_eq_ee": abs(v["PP"] - v["EE"]) <= tol,
-            "pe_eq_ep": abs(v["PE"] - v["EP"]) <= tol,
-            "pp_gt_pe": v["PP"] > v["PE"] + tol,
-            "relation_holds": bool(
-                abs(v["PP"] - v["EE"]) <= tol
-                and abs(v["PE"] - v["EP"]) <= tol
-                and v["PP"] > v["PE"] + tol
-            ),
+        verdicts = {
+            "pp_eq_ee": abs(v["PP"] - v["EE"]) <= PAYOFF_TOL,
+            "pe_eq_ep": abs(v["PE"] - v["EP"]) <= PAYOFF_TOL,
+            "pp_gt_pe": v["PP"] > v["PE"] + PAYOFF_TOL,
         }
+        verdicts["relation_holds"] = all(verdicts.values())
+        return verdicts
 
     def to_record(self) -> dict:
         return {
             "source": self.source,
-            "model": {"visible": self.model.visible, "rounding": self.model.rounding},
+            "model": {"visible": self.model.visible},
             "values": dict(self.values),
             "verdicts": self.verdicts(),
         }

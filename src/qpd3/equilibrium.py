@@ -21,6 +21,8 @@ import numpy as np
 
 from .comms import COMMON_ALPHA, COMMON_BETA
 from .game import (
+    ATOL,
+    PAYOFF_TOL,
     GameConfig,
     PayoffTable,
     PayoffTriple,
@@ -29,9 +31,6 @@ from .game import (
     outcome_probabilities,
     player_index,
 )
-
-#: Gate for equilibrium and ordering assertions.
-NASH_TOL = 1e-9
 
 _THETA_ANCHORS = (0.0, math.pi / 2, math.pi)
 _PHASE_ANCHORS = (-math.pi, 0.0, math.pi / 2, math.pi)
@@ -114,26 +113,26 @@ class EquilibriumReport:
 
     ``gaps[k]`` is the best payoff gain player k could realize by a
     unilateral move to any grid point (never negative: the played point is
-    always included in the candidate set).
+    always included in the candidate set).  The profile is grid-Nash when
+    no gap exceeds ``PAYOFF_TOL``.
     """
 
     profile: Profile
     payoff: PayoffTriple
     gaps: tuple[float, float, float]
-    tol: float
     grid: GridSpec
     case: str | None = None
 
     @property
     def is_nash(self) -> bool:
-        return max(self.gaps) <= self.tol
+        return max(self.gaps) <= PAYOFF_TOL
 
     def to_record(self) -> dict:
         record = {
             "profile": self.profile.to_record(),
             "payoff": list(self.payoff.as_tuple()),
             "best_response_gaps": list(self.gaps),
-            "tol": self.tol,
+            "tol": PAYOFF_TOL,
             "grid": self.grid.to_record(),
             "is_nash": self.is_nash,
         }
@@ -173,7 +172,7 @@ def best_response(
 
     ``others`` are the remaining players' parameters in ascending player
     order (B,C for Alice, A,C for Bob, A,B for Charlie).  Ties, including
-    float near-ties within 1e-12 (which is where payoff-irrelevant phases
+    float near-ties within ``ATOL`` (which is where payoff-irrelevant phases
     land), break to the lexicographically smallest (theta, alpha, beta).
     """
     k = player_index(player)
@@ -181,7 +180,7 @@ def best_response(
     payoffs = _batched_payoffs(k, candidates, others, config)
     # candidates are in lexicographic order, so the first near-maximizer is
     # the required tie-break
-    best = int(np.argmax(payoffs >= payoffs.max() - 1e-12))
+    best = int(np.argmax(payoffs >= payoffs.max() - ATOL))
     return StrategyParams(*candidates[best])
 
 
@@ -189,7 +188,6 @@ def verify_nash(
     profile: Profile,
     config: GameConfig,
     grid: GridSpec,
-    tol: float = NASH_TOL,
 ) -> EquilibriumReport:
     """Measure every player's unilateral grid-deviation gain at ``profile``."""
     payoff = expected_payoffs(config, *profile.as_tuple())
@@ -199,7 +197,7 @@ def verify_nash(
         others = tuple(p for i, p in enumerate(profile.as_tuple()) if i != k)
         payoffs = _batched_payoffs(k, candidates, others, config)
         gaps.append(max(float(payoffs.max()) - payoff[k], 0.0))
-    return EquilibriumReport(profile, payoff, tuple(gaps), tol, grid)
+    return EquilibriumReport(profile, payoff, tuple(gaps), grid)
 
 
 def _named_profile(
@@ -287,7 +285,6 @@ _ALICE_PHASES = (math.pi, math.pi)
 def four_case_scan(
     table: PayoffTable | None = None,
     grid: GridSpec | None = None,
-    tol: float = NASH_TOL,
     partner_phases: str = "restricted",
 ) -> FourCaseScan:
     """Evaluate the stated equilibrium profiles in all four regimes.
@@ -313,12 +310,12 @@ def four_case_scan(
     primary_theta = {"PP": math.pi, "PE": 0.0, "EP": 0.0, "EE": 0.0}
     for case in ("PP", "PE", "EP", "EE"):
         profile = _named_profile(primary_theta[case], _ALICE_PHASES, partner_phases)
-        report = verify_nash(profile, config_for(case), grid, tol)
+        report = verify_nash(profile, config_for(case), grid)
         reports.append(replace(report, case=case))
 
     for case in ("PE", "EP"):
         profile = _named_profile(math.pi / 2, _ALICE_PHASES, partner_phases)
-        report = verify_nash(profile, config_for(case), grid, tol)
+        report = verify_nash(profile, config_for(case), grid)
         secondary.append(replace(report, case=case))
 
     # "Payoff stays below 3" is claimed at both stated profiles of each mixed
@@ -332,7 +329,7 @@ def four_case_scan(
                 theta=report.profile.pa.theta,
                 payoff=payoff,
                 bound=bound,
-                holds=max(payoff) < bound - tol,
+                holds=max(payoff) < bound - PAYOFF_TOL,
             )
         )
 
@@ -347,11 +344,11 @@ def four_case_scan(
     )
     ordering = {
         "values": {"PP": pp_value, "PE": pe_value, "EP": ep_value, "EE": ee_value},
-        "pp_lt_pe": pp_value < pe_value - tol,
+        "pp_lt_pe": pp_value < pe_value - PAYOFF_TOL,
         "pe_eq_ep_gap": pe_ep_gap,
-        "pe_eq_ep": pe_ep_gap < tol,
-        "ep_lt_ee": ep_value < ee_value - tol,
-        "pp_lt_ee": pp_value < ee_value - tol,
+        "pe_eq_ep": pe_ep_gap < PAYOFF_TOL,
+        "ep_lt_ee": ep_value < ee_value - PAYOFF_TOL,
+        "pp_lt_ee": pp_value < ee_value - PAYOFF_TOL,
     }
     ordering["chain_holds"] = bool(
         ordering["pp_lt_pe"] and ordering["pe_eq_ep"] and ordering["ep_lt_ee"]

@@ -21,7 +21,7 @@ equilibrium scan elsewhere in the package is validated against it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,8 +31,11 @@ OUTCOMES = ("000", "001", "010", "011", "100", "101", "110", "111")
 #: Players in payoff-triple order.
 PLAYERS = ("A", "B", "C")
 
-#: Largest distance from 1 that a sum of outcome probabilities may show.
+#: Angles this close count as equal; outcome probabilities sum to 1 within it.
 ATOL = 1e-12
+
+#: Payoffs this close count as equal, in every check and in decoding.
+PAYOFF_TOL = 1e-9
 
 # Classic three-player dilemma payoffs: cooperate = bit 0, defect = bit 1.
 # Triple order is (Alice, Bob, Charlie); lone defectors collect 5, the
@@ -172,7 +175,7 @@ class GameConfig:
 
     gamma: float
     delta: float
-    payoffs: PayoffTable = field(default_factory=PayoffTable.default)
+    payoffs: PayoffTable = DEFAULT_PAYOFF_TABLE
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", _check_range("gamma", self.gamma, 0.0, math.pi / 2))

@@ -79,7 +79,7 @@ def test_criterion_01_classical_limit():
 def test_criterion_02_all_defect_grid_nash():
     started = time.perf_counter()
     profile = Profile(*(StrategyParams(math.pi, 0.0, HALF_PI),) * 3)
-    result = verify_nash(profile, GameConfig(0.0, 0.0), GridSpec(), tol=1e-9)
+    result = verify_nash(profile, GameConfig(0.0, 0.0), GridSpec())
     elapsed = time.perf_counter() - started
     assert result.is_nash
     assert result.payoff.as_tuple() == pytest.approx((1, 1, 1), abs=1e-9)

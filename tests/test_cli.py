@@ -105,6 +105,15 @@ class TestPayoffCommand:
         assert doc["fixtures-compared"]["table1"]["outcome"] == "000"
         assert doc["discrepancies"] == []
 
+    def test_format_belongs_to_table_only(self, tmp_path):
+        out = tmp_path / "payoff.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["payoff", "--gamma", "0", "--delta", "0",
+                  "--alice", "0,0,0", "--bob", "0,0,0", "--charlie", "0,0,0",
+                  "--format", "csv", "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert not out.exists()
+
 
 class TestTableCommand:
     def test_auto_fixture_and_discrepancies(self, tmp_path):

@@ -155,9 +155,20 @@ class TestDecode:
         ):
             for i, cw in enumerate(CODEWORDS):
                 for j, col in enumerate(COLUMNS):
-                    observed = FULL.key(table.entry(i, j))
+                    observed = FULL.components(table.entry(i, j))
                     result = decode(table, col, observed, FULL)
                     assert cw.bits in [c.bits for c in result.candidates]
+
+    @pytest.mark.parametrize("shift", [6e-10, -6e-10])
+    def test_entry_within_payoff_tolerance_decodes(self, shift):
+        # a payoff a little off its table entry still names that entry's
+        # codeword, on either side of it
+        table = fixture_table("table2")
+        for i, cw in enumerate(CODEWORDS):
+            for j, col in enumerate(COLUMNS):
+                bob, charlie = PAIR.components(table.entry(i, j))
+                result = decode(table, col, (bob + shift, charlie + shift), PAIR)
+                assert cw.bits in [c.bits for c in result.candidates]
 
     def test_unmatched_payoff_is_an_error(self):
         with pytest.raises(ValueError):
@@ -172,9 +183,9 @@ class TestDecode:
         for i in range(4):
             for j, col in enumerate(COLUMNS):
                 entry = table.entry(i, j)
-                n_own = len(decode(table, col, OWN.key(entry), OWN).candidates)
-                n_pair = len(decode(table, col, PAIR.key(entry), PAIR).candidates)
-                n_full = len(decode(table, col, FULL.key(entry), FULL).candidates)
+                n_own = len(decode(table, col, OWN.components(entry), OWN).candidates)
+                n_pair = len(decode(table, col, PAIR.components(entry), PAIR).candidates)
+                n_full = len(decode(table, col, FULL.components(entry), FULL).candidates)
                 assert n_own >= n_pair >= n_full
 
 
@@ -190,8 +201,6 @@ class TestObservationModel:
     def test_validation(self):
         with pytest.raises(ValueError):
             ObservationModel(visible="everything")
-        with pytest.raises(ValueError):
-            ObservationModel(rounding=-1)
 
 
 class TestInformationBits:
@@ -212,11 +221,9 @@ class TestInformationBits:
         )
         assert information_bits(table, FULL) == 0.0
 
-    def test_bounded_and_antitone_in_rounding(self):
+    def test_bounded(self):
         for table in (fixture_table("table2"), fixture_table("table3"), protocol_table(0.4, 0.2)):
-            fine = information_bits(table, ObservationModel("full-triple", rounding=9))
-            coarse = information_bits(table, ObservationModel("full-triple", rounding=0))
-            assert 0.0 <= coarse <= fine <= 2.0
+            assert 0.0 <= information_bits(table, FULL) <= 2.0
 
     def test_antitone_in_visibility(self):
         for table in (fixture_table("table3"), protocol_table(HALF_PI, HALF_PI)):

@@ -1,10 +1,13 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qpd3
 from qpd3 import (
     DEFAULT_PAYOFF_TABLE,
     OUTCOMES,
@@ -345,6 +348,9 @@ class TestConfigAndTable:
         with pytest.raises(ValueError):
             GameConfig(0, math.pi)
 
+    def test_default_table_is_shared(self):
+        assert GameConfig(0, 0).payoffs is DEFAULT_PAYOFF_TABLE
+
     def test_table_requires_all_outcomes(self):
         mapping = DEFAULT_PAYOFF_TABLE.as_mapping()
         del mapping["111"]
@@ -362,3 +368,15 @@ class TestConfigAndTable:
             GameConfig(0.3, 0.7, flat), *(StrategyParams(1.0, 0.5, -0.5),) * 3
         )
         assert got.as_tuple() == pytest.approx((1, 1, 1), abs=1e-12)
+
+
+def test_tolerances_are_named_once():
+    # every tolerance in the package is ATOL or PAYOFF_TOL, and payoffs are
+    # compared within PAYOFF_TOL rather than rounded
+    found = {
+        (path.name, line.strip())
+        for path in sorted(Path(qpd3.__file__).parent.glob("*.py"))
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if re.search(r"1e-(9|12)|round\(", line)
+    }
+    assert found == {("game.py", "ATOL = 1e-12"), ("game.py", "PAYOFF_TOL = 1e-9")}
