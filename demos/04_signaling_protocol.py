@@ -17,7 +17,6 @@ from qpd3 import (
     fixture_regime_tables,
     fixture_table,
     info_relation_report,
-    information_bits,
     oracle_regime_tables,
     protocol_table,
 )
@@ -65,10 +64,9 @@ def main():
     for source, tables in (("oracle", oracle_regime_tables()), ("published", fixture_regime_tables())):
         for visible in ("own", "bob-and-charlie", "full-triple"):
             model = ObservationModel(visible=visible)
-            values = {case: information_bits(tables[case], model) for case in ("PP", "PE", "EP", "EE")}
             rep = info_relation_report(tables, model, source=source)
             verdict = "holds" if rep.verdicts()["relation_holds"] else "fails"
-            pretty = "  ".join(f"I_{k}={v:g}" for k, v in values.items())
+            pretty = "  ".join(f"I_{k}={v:g}" for k, v in rep.values.items())
             print(f"  {source:>9} / {visible:<15} {pretty}   {{PP=EE}}>{{PE=EP}} {verdict}")
 
     print("\nEvery regime here resolves the full two bits (the one exception is")

@@ -14,6 +14,7 @@ from .game import (
     DEFAULT_PAYOFF_TABLE,
     OUTCOMES,
     PLAYERS,
+    REGIMES,
     GameConfig,
     OutcomeDistribution,
     PayoffTable,
@@ -57,6 +58,7 @@ from .comms import (
     InfoRelationReport,
     ObservationModel,
     ProtocolTable,
+    REGIME_FIXTURES,
     common_move,
     decode,
     fixture_regime_tables,
@@ -70,7 +72,7 @@ from .comms import (
 __all__ = [
     "__version__",
     # game
-    "OUTCOMES", "PLAYERS", "StrategyParams", "PayoffTriple", "PayoffTable",
+    "OUTCOMES", "PLAYERS", "REGIMES", "StrategyParams", "PayoffTriple", "PayoffTable",
     "DEFAULT_PAYOFF_TABLE", "GameConfig", "OutcomeDistribution",
     "initial_state", "moves", "strategy_unitary", "measurement_basis",
     "measurement_projectors", "payoff_operator", "outcome_probabilities",
@@ -84,7 +86,7 @@ __all__ = [
     "best_response", "verify_nash", "four_case_scan",
     # comms
     "Codeword", "CODEWORDS", "COLUMNS", "ObservationModel", "ProtocolTable",
-    "DecodeResult", "InfoRelationReport", "common_move", "protocol_table",
+    "DecodeResult", "InfoRelationReport", "REGIME_FIXTURES", "common_move", "protocol_table",
     "fixture_table", "decode", "information_bits", "info_relation_report",
     "oracle_regime_tables", "fixture_regime_tables",
 ]

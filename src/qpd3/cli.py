@@ -11,8 +11,9 @@ Subcommands:
   expected output, not failures).
 
 Angles are accepted as rational multiples of pi ("pi/3", "-pi", "3pi/4") or
-as plain radian numbers.  Every run is reproducible from its seed; reports
-for a fixed (config, seed) are byte-identical across runs.
+as plain radian numbers.  Only ``verify`` draws random numbers, from
+``--seed`` (default ``DEFAULT_SEED``); reports for a fixed (config, seed)
+are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .closedform import (
 from .comms import (
     COLUMNS,
     CODEWORDS,
-    FIXTURE_CONFIGS,
+    REGIME_FIXTURES,
     ObservationModel,
     ProtocolTable,
     decode,
@@ -53,8 +54,10 @@ from .comms import (
 from .equilibrium import GridSpec, Profile, four_case_scan, verify_nash
 from .game import (
     ATOL,
+    DEFAULT_PAYOFF_TABLE,
     OUTCOMES,
     PAYOFF_TOL,
+    REGIMES,
     GameConfig,
     PayoffTable,
     StrategyParams,
@@ -64,9 +67,8 @@ from .game import (
     outcome_distribution,
 )
 
-#: Default RNG seed; override with the environment variable below or --seed.
+#: Default RNG seed of ``verify``; override with --seed.
 DEFAULT_SEED = 1729
-SEED_ENV_VAR = "QPD3_SEED"
 
 _ANGLE_RE = re.compile(
     r"^(?P<sign>[+-]?)(?P<num>\d+(?:\.\d+)?)?\s*\*?\s*pi(?:\s*/\s*(?P<den>\d+(?:\.\d+)?))?$",
@@ -176,22 +178,10 @@ def _fmt_triple(triple) -> str:
     return "(" + ", ".join(f"{x:.10g}" for x in triple.as_tuple()) + ")"
 
 
-def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    return DEFAULT_SEED
-
-
 def _table_for(args) -> PayoffTable:
-    if getattr(args, "payoffs", None):
+    if args.payoffs:
         return load_payoff_table(args.payoffs)
-    return PayoffTable.default()
+    return DEFAULT_PAYOFF_TABLE
 
 
 # --------------------------------------------------------------------------
@@ -203,32 +193,6 @@ def cmd_payoff(args) -> int:
     profile = (parse_params(args.alice), parse_params(args.bob), parse_params(args.charlie))
     triple = expected_payoffs(config, *profile)
     dist = outcome_distribution(config, *profile)
-
-    fixtures = {}
-    discrepancies = []
-    if args.fixture == "table1":
-        pure = all(
-            min(abs(p.theta), abs(p.theta - math.pi)) <= ATOL for p in profile
-        )
-        classical = config.gamma == 0.0 and config.delta == 0.0
-        if pure and classical:
-            outcome = "".join(
-                "1" if abs(p.theta - math.pi) <= ATOL else "0" for p in profile
-            )
-            # "table1" names the shipped classic table, not whatever table the
-            # run was configured with
-            expected = PayoffTable.default().triple(outcome)
-            fixtures["table1"] = {"outcome": outcome, "payoffs": list(expected)}
-            delta = [abs(a - b) for a, b in zip(triple.as_tuple(), expected)]
-            if max(delta) > PAYOFF_TOL:
-                discrepancies.append(
-                    {"what": "payoff vs table1", "outcome": outcome, "delta": delta}
-                )
-        else:
-            fixtures["table1"] = {
-                "note": "comparison needs gamma = delta = 0 and pure moves (theta in {0, pi})"
-            }
-
     doc = _report_doc(
         inputs={
             "command": "payoff",
@@ -242,8 +206,6 @@ def cmd_payoff(args) -> int:
             "payoffs": list(triple.as_tuple()),
             "outcome_probabilities": {o: dist[o] for o in OUTCOMES},
         },
-        fixtures_compared=fixtures,
-        discrepancies=discrepancies,
     )
     if args.out:
         _emit(args, render_json(doc))
@@ -283,10 +245,9 @@ def _table_fixture_diff(oracle: ProtocolTable, fixture: ProtocolTable):
 
 
 def _auto_fixture(gamma: float, delta: float) -> str | None:
-    for name, configs in FIXTURE_CONFIGS.items():
-        for g, d in configs:
-            if abs(gamma - g) <= ATOL and abs(delta - d) <= ATOL:
-                return name
+    for case, (g, d) in REGIMES.items():
+        if abs(gamma - g) <= ATOL and abs(delta - d) <= ATOL:
+            return REGIME_FIXTURES[case]
     return None
 
 
@@ -333,15 +294,10 @@ def cmd_nash(args) -> int:
     grid = parse_grid(args.grid) if args.grid else GridSpec()
     table = _table_for(args)
     if args.scan:
-        scan = four_case_scan(table, grid, partner_phases=args.partner_phases)
+        scan = four_case_scan(table, grid)
         record = scan.to_record()
         doc = _report_doc(
-            inputs={
-                "command": "nash",
-                "mode": "scan",
-                "grid": grid.to_record(),
-                "partner_phases": args.partner_phases,
-            },
+            inputs={"command": "nash", "mode": "scan", "grid": grid.to_record()},
             results=record,
             verdicts={
                 "ordering": record["ordering"],
@@ -387,21 +343,11 @@ def cmd_comm_simulate(args) -> int:
     table = protocol_table(gamma, delta, _table_for(args))
     model = _model_from(args)
 
-    wanted_common = None
-    if args.common:
-        wanted_common = parse_pair(args.common)
-        if abs(wanted_common[0] - wanted_common[1]) > ATOL:
-            raise UsageError("the protocol agreement is a common move; use 0,0 or pi,pi")
-
     transmissions = []
     for cw_index, cw in enumerate(CODEWORDS):
-        if args.codeword and cw.bits != args.codeword:
-            continue
         for j, col in enumerate(COLUMNS):
             if col[0] != col[1]:
                 continue  # the protocol agreement is a common move
-            if wanted_common is not None and wanted_common != col:
-                continue
             payoff = table.entry(cw_index, j)
             observed = model.components(payoff)
             result = decode(table, col, observed, model)
@@ -491,11 +437,11 @@ def _check(name: str, ok: bool, detail: dict, hard_failures: list) -> dict:
     return {"check": name, "pass": bool(ok), **detail}
 
 
-def build_verify_bundle(seed: int, grid: GridSpec | None = None) -> tuple[dict, list]:
+def build_verify_bundle(seed: int) -> tuple[dict, list]:
     """Run every verification check; returns (report doc, hard failure names)."""
-    grid = GridSpec() if grid is None else grid
+    grid = GridSpec()
     rng = np.random.default_rng(seed)
-    table = PayoffTable.default()
+    table = DEFAULT_PAYOFF_TABLE
     hard: list[str] = []
     results: dict = {}
     verdicts: dict = {}
@@ -629,8 +575,7 @@ def build_verify_bundle(seed: int, grid: GridSpec | None = None) -> tuple[dict, 
     # Oracle tables vs published fixtures, per regime.
     fixtures_compared = {}
     oracle_tables = oracle_regime_tables(table)
-    fixture_assignment = {"PP": "table2", "EE": "table2", "PE": "table3", "EP": "table3"}
-    for case, fixture_name in fixture_assignment.items():
+    for case, fixture_name in REGIME_FIXTURES.items():
         compared, diffs = _table_fixture_diff(oracle_tables[case], fixture_table(fixture_name))
         fixtures_compared[f"{case}:{fixture_name}"] = compared
         for d in diffs:
@@ -684,9 +629,7 @@ def build_verify_bundle(seed: int, grid: GridSpec | None = None) -> tuple[dict, 
 
 
 def cmd_verify(args) -> int:
-    seed = _resolve_seed(args)
-    grid = parse_grid(args.grid) if args.grid else GridSpec()
-    doc, hard = build_verify_bundle(seed, grid)
+    doc, hard = build_verify_bundle(args.seed)
     _emit(args, render_json(doc))
     for name, entry in doc["results"].items():
         if isinstance(entry, dict) and "pass" in entry:
@@ -725,7 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alice", required=True, metavar="T,A,B")
     p.add_argument("--bob", required=True, metavar="T,A,B")
     p.add_argument("--charlie", required=True, metavar="T,A,B")
-    p.add_argument("--fixture", choices=("table1",), help="compare against the base table")
     _add_payoff_source(p)
     _add_out(p)
     p.set_defaults(func=cmd_payoff)
@@ -747,12 +689,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--charlie", metavar="T,A,B")
     p.add_argument("--grid", metavar="T,A,B", help="points per axis (default 25,17,17)")
     p.add_argument("--scan", action="store_true", help="run the four-regime scan")
-    p.add_argument(
-        "--partner-phases",
-        choices=("restricted", "mirror"),
-        default="restricted",
-        dest="partner_phases",
-    )
     _add_payoff_source(p)
     _add_out(p)
     p.set_defaults(func=cmd_nash)
@@ -763,8 +699,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps = comm_sub.add_parser("simulate", help="run the protocol over a config")
     ps.add_argument("--gamma", required=True)
     ps.add_argument("--delta", required=True)
-    ps.add_argument("--codeword", choices=[c.bits for c in CODEWORDS])
-    ps.add_argument("--common", metavar="T,T", help="restrict to one common move")
     ps.add_argument("--model", choices=tuple(_MODEL_VISIBLE), default="pair")
     _add_payoff_source(ps)
     _add_out(ps)
@@ -782,8 +716,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd.set_defaults(func=cmd_comm_decode)
 
     p = sub.add_parser("verify", help="full verification bundle")
-    p.add_argument("--seed", type=int, help=f"default {DEFAULT_SEED}, or ${SEED_ENV_VAR}")
-    p.add_argument("--grid", metavar="T,A,B")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"default {DEFAULT_SEED}")
     _add_out(p)
     p.set_defaults(func=cmd_verify)
 

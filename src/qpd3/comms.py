@@ -23,7 +23,9 @@ from fractions import Fraction
 
 from .game import (
     ATOL,
+    DEFAULT_PAYOFF_TABLE,
     PAYOFF_TOL,
+    REGIMES,
     GameConfig,
     PayoffTable,
     PayoffTriple,
@@ -150,10 +152,10 @@ class DecodeResult:
 
 
 def protocol_table(
-    gamma: float, delta: float, table: PayoffTable | None = None
+    gamma: float, delta: float, table: PayoffTable = DEFAULT_PAYOFF_TABLE
 ) -> ProtocolTable:
     """Oracle-evaluated protocol table for the given entanglement angles."""
-    config = GameConfig(gamma, delta, PayoffTable.default() if table is None else table)
+    config = GameConfig(gamma, delta, table)
     rows = []
     for cw in CODEWORDS:
         row = []
@@ -218,11 +220,9 @@ _TABLE3_ROWS = _frac_rows(
     ]
 )
 
-#: Which (gamma, delta) pairs each published table claims to cover.
-FIXTURE_CONFIGS = {
-    "table2": ((0.0, 0.0), (math.pi / 2, math.pi / 2)),
-    "table3": ((0.0, math.pi / 2), (math.pi / 2, 0.0)),
-}
+#: The published table each regime's caption claims, in the order the
+#: verify bundle compares them.
+REGIME_FIXTURES = {"PP": "table2", "EE": "table2", "PE": "table3", "EP": "table3"}
 
 _FIXTURES = {"table2": _TABLE2_ROWS, "table3": _TABLE3_ROWS}
 
@@ -339,31 +339,23 @@ def info_relation_report(
 ) -> InfoRelationReport:
     """Information metric for the four regime tables plus relation verdicts.
 
-    ``tables`` maps the regime labels PP, PE, EP, EE to protocol tables (for
-    the published source, table2 serves both symmetric regimes and table3
-    both mixed ones).
+    ``tables`` maps every label of ``REGIMES`` to a protocol table (for the
+    published source, table2 serves both symmetric regimes and table3 both
+    mixed ones).
     """
     model = ObservationModel() if model is None else model
-    missing = {"PP", "PE", "EP", "EE"} - set(tables)
+    missing = set(REGIMES) - set(tables)
     if missing:
         raise ValueError(f"tables missing regimes: {sorted(missing)}")
-    values = {case: information_bits(tables[case], model) for case in ("PP", "PE", "EP", "EE")}
+    values = {case: information_bits(tables[case], model) for case in REGIMES}
     return InfoRelationReport(source=source, model=model, values=values)
 
 
-def oracle_regime_tables(table: PayoffTable | None = None) -> dict[str, ProtocolTable]:
+def oracle_regime_tables(table: PayoffTable = DEFAULT_PAYOFF_TABLE) -> dict[str, ProtocolTable]:
     """Oracle protocol tables for the four entanglement regimes."""
-    half_pi = math.pi / 2
-    return {
-        "PP": protocol_table(0.0, 0.0, table),
-        "PE": protocol_table(0.0, half_pi, table),
-        "EP": protocol_table(half_pi, 0.0, table),
-        "EE": protocol_table(half_pi, half_pi, table),
-    }
+    return {case: protocol_table(g, d, table) for case, (g, d) in REGIMES.items()}
 
 
 def fixture_regime_tables() -> dict[str, ProtocolTable]:
     """Published tables assigned to the regimes their captions claim."""
-    t2 = fixture_table("table2")
-    t3 = fixture_table("table3")
-    return {"PP": t2, "EE": t2, "PE": t3, "EP": t3}
+    return {case: fixture_table(name) for case, name in REGIME_FIXTURES.items()}

@@ -7,9 +7,8 @@ grid.  The verdict is refinement-monotone (enlarging the grid can only
 expose more deviations, never fewer), which makes it an honest, testable
 certificate.
 
-The four regimes are labelled by which entanglement resource is product (P)
-or maximally entangled (E), in (initial state, measurement basis) order:
-PP = (0, 0), PE = (0, pi/2), EP = (pi/2, 0), EE = (pi/2, pi/2).
+The four regimes are ``game.REGIMES``: the initial state and the
+measurement basis are each product (P) or maximally entangled (E).
 """
 
 from __future__ import annotations
@@ -19,10 +18,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .comms import COMMON_ALPHA, COMMON_BETA
+from .comms import common_move
 from .game import (
     ATOL,
+    DEFAULT_PAYOFF_TABLE,
     PAYOFF_TOL,
+    REGIMES,
     GameConfig,
     PayoffTable,
     PayoffTriple,
@@ -200,23 +201,11 @@ def verify_nash(
     return EquilibriumReport(profile, payoff, tuple(gaps), grid)
 
 
-def _named_profile(
-    theta: float, alice_phases: tuple[float, float], partner_phases: str
-) -> Profile:
-    """Symmetric-theta profile with Alice's phases free and partners pinned.
-
-    ``partner_phases="restricted"`` pins Bob and Charlie to the communication
-    game's convention (alpha=0, beta=pi/2); ``"mirror"`` lets them copy
-    Alice's phases instead, the alternative reading of the stated equilibria.
-    """
-    alice = StrategyParams(theta, *alice_phases)
-    if partner_phases == "restricted":
-        partner = StrategyParams(theta, COMMON_ALPHA, COMMON_BETA)
-    elif partner_phases == "mirror":
-        partner = StrategyParams(theta, *alice_phases)
-    else:
-        raise ValueError("partner_phases must be 'restricted' or 'mirror'")
-    return Profile(alice, partner, partner)
+def _named_profile(theta: float) -> Profile:
+    """Stated profile at a common ``theta``: Alice plays phases (pi, pi), and
+    Bob and Charlie play the communication game's ``common_move(theta)``."""
+    partner = common_move(theta)
+    return Profile(StrategyParams(theta, math.pi, math.pi), partner, partner)
 
 
 @dataclass(frozen=True)
@@ -272,50 +261,31 @@ class FourCaseScan:
         }
 
 
-CASE_CONFIGS = {
-    "PP": (0.0, 0.0),
-    "PE": (0.0, math.pi / 2),
-    "EP": (math.pi / 2, 0.0),
-    "EE": (math.pi / 2, math.pi / 2),
-}
-
-_ALICE_PHASES = (math.pi, math.pi)
-
-
 def four_case_scan(
-    table: PayoffTable | None = None,
-    grid: GridSpec | None = None,
-    partner_phases: str = "restricted",
+    table: PayoffTable = DEFAULT_PAYOFF_TABLE,
+    grid: GridSpec = GridSpec(),
 ) -> FourCaseScan:
-    """Evaluate the stated equilibrium profiles in all four regimes.
+    """Evaluate the stated equilibrium profiles in all four ``REGIMES``.
 
-    Representative profiles: all-defect (theta = pi) for PP, all-theta-0 with
-    Alice phases (pi, pi) for PE/EP/EE.  The mixed regimes' stated
-    theta = pi/2 profiles are evaluated as well and contribute bound checks
-    but not the ordering scalars (their payoff triples are asymmetric, so no
-    single per-regime value exists there).  Every claim is measured against
-    the oracle and reported; nothing is assumed.
+    Every profile is a ``_named_profile``: all-defect (theta = pi) for PP and
+    theta = 0 for PE/EP/EE.  The mixed regimes' stated theta = pi/2 profiles
+    are evaluated as well and contribute bound checks but not the ordering
+    scalars (their payoff triples are asymmetric, so no single per-regime
+    value exists there).  Every claim is measured against the oracle and
+    reported; nothing is assumed.
     """
-    table = PayoffTable.default() if table is None else table
-    grid = GridSpec() if grid is None else grid
-
-    def config_for(case: str) -> GameConfig:
-        gamma, delta = CASE_CONFIGS[case]
-        return GameConfig(gamma, delta, table)
-
     reports = []
     bounds = []
     secondary = []
 
-    primary_theta = {"PP": math.pi, "PE": 0.0, "EP": 0.0, "EE": 0.0}
-    for case in ("PP", "PE", "EP", "EE"):
-        profile = _named_profile(primary_theta[case], _ALICE_PHASES, partner_phases)
-        report = verify_nash(profile, config_for(case), grid)
+    for case, angles in REGIMES.items():
+        theta = math.pi if case == "PP" else 0.0
+        report = verify_nash(_named_profile(theta), GameConfig(*angles, table), grid)
         reports.append(replace(report, case=case))
 
     for case in ("PE", "EP"):
-        profile = _named_profile(math.pi / 2, _ALICE_PHASES, partner_phases)
-        report = verify_nash(profile, config_for(case), grid)
+        config = GameConfig(*REGIMES[case], table)
+        report = verify_nash(_named_profile(math.pi / 2), config, grid)
         secondary.append(replace(report, case=case))
 
     # "Payoff stays below 3" is claimed at both stated profiles of each mixed

@@ -37,6 +37,16 @@ ATOL = 1e-12
 #: Payoffs this close count as equal, in every check and in decoding.
 PAYOFF_TOL = 1e-9
 
+#: The four entanglement regimes, label -> (gamma, delta): the initial state
+#: and then the measurement basis is product (P, angle 0) or maximally
+#: entangled (E, angle pi/2).  Scans and information reports keep this order.
+REGIMES = {
+    "PP": (0.0, 0.0),
+    "PE": (0.0, math.pi / 2),
+    "EP": (math.pi / 2, 0.0),
+    "EE": (math.pi / 2, math.pi / 2),
+}
+
 # Classic three-player dilemma payoffs: cooperate = bit 0, defect = bit 1.
 # Triple order is (Alice, Bob, Charlie); lone defectors collect 5, the
 # betrayed cooperator in a two-defector outcome collects 0.
@@ -142,10 +152,6 @@ class PayoffTable:
             )
         return cls(tuple(tuple(float(x) for x in mapping[o]) for o in OUTCOMES))
 
-    @classmethod
-    def default(cls) -> "PayoffTable":
-        return cls.from_mapping(_CLASSIC_ENTRIES)
-
     def triple(self, outcome: str) -> tuple[float, float, float]:
         return self.entries[OUTCOMES.index(outcome)]
 
@@ -162,7 +168,8 @@ class PayoffTable:
         return (min(flat), max(flat))
 
 
-DEFAULT_PAYOFF_TABLE = PayoffTable.default()
+#: The classic table; every function that takes a table defaults to it.
+DEFAULT_PAYOFF_TABLE = PayoffTable.from_mapping(_CLASSIC_ENTRIES)
 
 
 @dataclass(frozen=True)
@@ -261,12 +268,11 @@ def measurement_projectors(delta: float) -> list[np.ndarray]:
     return [np.outer(v, v.conj()) for v in measurement_basis(delta)]
 
 
-def payoff_operator(delta: float, player, table: PayoffTable | None = None) -> np.ndarray:
+def payoff_operator(delta: float, player, table: PayoffTable = DEFAULT_PAYOFF_TABLE) -> np.ndarray:
     """Hermitian payoff operator ``sum_lmn payoff[lmn] |psi_lmn><psi_lmn|``.
 
     Its spectrum is exactly the player's 8 table payoffs for every ``delta``.
     """
-    table = DEFAULT_PAYOFF_TABLE if table is None else table
     dollars = table.column(player)
     op = np.zeros((8, 8), dtype=complex)
     for value, proj in zip(dollars, measurement_projectors(delta)):

@@ -7,6 +7,7 @@ verdict; those spots are marked "documented discrepancy" in the output and
 asserted to be *flagged*, never silently accepted.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -254,6 +255,23 @@ def test_criterion_09_information_relation_verdicts():
     )
 
 
+def _skeleton(node):
+    """A JSON tree with every number replaced by its type name; keys,
+    strings, booleans, None and list lengths stay."""
+    if isinstance(node, dict):
+        return {k: _skeleton(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_skeleton(v) for v in node]
+    if isinstance(node, (int, float)) and not isinstance(node, bool):
+        return type(node).__name__
+    return node
+
+
+#: sha256 of the seed-1729 bundle's skeleton: a change to the bundle's keys,
+#: strings, verdicts or record counts must update this on purpose.
+BUNDLE_SKELETON_SHA256 = "4c22e013beffe676a3c0a98b607de0c994f8275e3e95be3d9d0d5cade6e3996e"
+
+
 def test_criterion_10_verify_determinism():
     first, hard1 = build_verify_bundle(seed=1729)
     second, hard2 = build_verify_bundle(seed=1729)
@@ -262,7 +280,11 @@ def test_criterion_10_verify_determinism():
     bytes2 = render_json(second).encode()
     assert bytes1 == bytes2
     # also guard that the bundle actually round-trips as a JSON document
-    assert json.loads(bytes1) == json.loads(bytes2)
+    doc = json.loads(bytes1)
+    assert doc == json.loads(bytes2)
+    assert len(doc["discrepancies"]) == 27
+    skeleton = json.dumps(_skeleton(doc), sort_keys=True).encode()
+    assert hashlib.sha256(skeleton).hexdigest() == BUNDLE_SKELETON_SHA256
     report(
         f"[PASS] criterion 10: verify bundles byte-identical for a fixed seed "
         f"({len(bytes1)} bytes)"

@@ -1,13 +1,17 @@
+import argparse
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
+import qpd3
 from qpd3.cli import (
     DEFAULT_SEED,
-    SEED_ENV_VAR,
     UsageError,
     atomic_write,
+    build_parser,
     build_verify_bundle,
     load_payoff_table,
     main,
@@ -97,12 +101,12 @@ class TestPayoffCommand:
         out = tmp_path / "payoff.json"
         rc = main(["payoff", "--gamma", "0", "--delta", "0",
                    "--alice", "0,0,0", "--bob", "0,0,0", "--charlie", "0,0,0",
-                   "--fixture", "table1", "--out", str(out)])
+                   "--out", str(out)])
         assert rc == 0
         doc = json.loads(out.read_text())
         assert set(doc) == SECTIONS
         assert doc["results"]["payoffs"] == [3, 3, 3]
-        assert doc["fixtures-compared"]["table1"]["outcome"] == "000"
+        assert doc["fixtures-compared"] == {}
         assert doc["discrepancies"] == []
 
     def test_format_belongs_to_table_only(self, tmp_path):
@@ -283,29 +287,20 @@ class TestAtomicWrite:
 
 class TestVerify:
     def test_bundle_passes_and_is_deterministic(self, tmp_path, capsys):
-        grid = "5,5,5"
         out1, out2 = tmp_path / "v1.json", tmp_path / "v2.json"
-        assert main(["verify", "--seed", "7", "--grid", grid, "--out", str(out1)]) == 0
-        assert main(["verify", "--seed", "7", "--grid", grid, "--out", str(out2)]) == 0
+        assert main(["verify", "--out", str(out1)]) == 0
+        assert main(["verify", "--seed", "1729", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         doc = json.loads(out1.read_text())
         assert set(doc) == SECTIONS
+        assert doc["inputs"]["seed"] == DEFAULT_SEED == 1729
         assert doc["verdicts"]["hard_failures"] == []
-
-    def test_seed_env_override(self, tmp_path, monkeypatch):
-        out_env = tmp_path / "env.json"
-        out_explicit = tmp_path / "explicit.json"
-        monkeypatch.setenv(SEED_ENV_VAR, "31")
-        assert main(["verify", "--grid", "5,5,5", "--out", str(out_env)]) == 0
-        monkeypatch.delenv(SEED_ENV_VAR)
-        assert main(["verify", "--seed", "31", "--grid", "5,5,5", "--out", str(out_explicit)]) == 0
-        assert out_env.read_bytes() == out_explicit.read_bytes()
 
     def test_default_seed_constant(self):
         assert isinstance(DEFAULT_SEED, int)
 
     def test_bundle_contents(self):
-        doc, hard = build_verify_bundle(seed=5, grid=None)
+        doc, hard = build_verify_bundle(seed=5)
         assert hard == []
         results = doc["results"]
         for name in (
@@ -326,3 +321,69 @@ class TestVerify:
         kinds = {d.get("what") for d in doc["discrepancies"]}
         assert "mixed-regime payoff bound" in kinds
         assert "information relation {PP=EE} > {PE=EP}" in kinds
+
+
+#: Every option of every subcommand; a new or removed flag must update this.
+OPTIONS = {
+    "payoff": "alice bob charlie delta gamma out payoffs",
+    "table": "delta fixture format gamma out payoffs",
+    "nash": "alice bob charlie delta gamma grid out payoffs scan",
+    "comm simulate": "delta gamma model out payoffs",
+    "comm decode": "common delta fixture gamma model observed out payoffs",
+    "verify": "out seed",
+}
+
+
+def _leaf_parsers(parser, prefix=()):
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield " ".join(prefix), parser
+    for action in subparsers:
+        for name, sub in action.choices.items():
+            yield from _leaf_parsers(sub, prefix + (name,))
+
+
+def test_options_are_pinned_and_nothing_reads_the_environment():
+    found = {
+        command: " ".join(
+            sorted(
+                opt.lstrip("-")
+                for action in parser._actions
+                for opt in action.option_strings
+                if opt not in ("-h", "--help")
+            )
+        )
+        for command, parser in _leaf_parsers(build_parser())
+    }
+    assert found == OPTIONS
+    readers = [
+        path.name
+        for path in sorted(Path(qpd3.__file__).parent.glob("*.py"))
+        if re.search(r"os\.environ|getenv", path.read_text(encoding="utf-8"))
+    ]
+    assert readers == []
+
+
+PAYOFF_ARGS = ["payoff", "--gamma", "0", "--delta", "0",
+               "--alice", "0,0,0", "--bob", "0,0,0", "--charlie", "0,0,0"]
+
+
+class TestRemovedFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["comm", "simulate", "--gamma", "0", "--delta", "0", "--common", "1,1"],
+            ["comm", "simulate", "--gamma", "0", "--delta", "0", "--codeword", "11"],
+            ["nash", "--scan", "--partner-phases", "mirror"],
+            ["verify", "--grid", "5,5,5"],
+            PAYOFF_ARGS + ["--fixture", "table1"],
+        ],
+        ids=["common", "codeword", "partner-phases", "verify-grid", "payoff-fixture"],
+    )
+    def test_exits_2_and_writes_nothing(self, tmp_path, capsys, argv):
+        out = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--out", str(out)])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []

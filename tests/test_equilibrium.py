@@ -213,16 +213,6 @@ class TestFourCaseScan:
         assert not violated.holds
         assert max(violated.payoff) == pytest.approx(3.5, abs=1e-9)
 
-    def test_mirror_partner_phases_supported(self):
-        scan = four_case_scan(grid=SMALL_GRID, partner_phases="mirror")
-        # the equilibrium identities survive the alternative phase reading
-        assert scan.report_for("PP").payoff.as_tuple() == pytest.approx((1, 1, 1), abs=1e-9)
-        assert scan.report_for("EE").payoff.as_tuple() == pytest.approx((3, 3, 3), abs=1e-9)
-
-    def test_rejects_unknown_phase_convention(self):
-        with pytest.raises(ValueError):
-            four_case_scan(grid=SMALL_GRID, partner_phases="free")
-
     def test_record_is_serializable(self, scan):
         import json
 
