@@ -65,6 +65,7 @@ from .game import (
     measurement_basis,
     measurement_projectors,
     outcome_distribution,
+    outcome_probabilities,
 )
 
 #: Default RNG seed of ``verify``; override with --seed.
@@ -448,22 +449,16 @@ def build_verify_bundle(seed: int) -> tuple[dict, list]:
     discrepancies: list = []
 
     # Classical limit: pure strategies at gamma = delta = 0 reproduce the
-    # base payoff table no matter the phases.
-    worst = 0.0
-    for bits in range(8):
-        outcome = format(bits, "03b")
-        expected = table.triple(outcome)
-        for _ in range(10):
-            profile = [
-                StrategyParams(
-                    math.pi if (bits >> (2 - k)) & 1 else 0.0,
-                    rng.uniform(-math.pi, math.pi),
-                    rng.uniform(-math.pi, math.pi),
-                )
-                for k in range(3)
-            ]
-            got = expected_payoffs(GameConfig(0.0, 0.0, table), *profile)
-            worst = max(worst, max(abs(a - b) for a, b in zip(got.as_tuple(), expected)))
+    # base payoff table no matter the phases; 10 random-phase profiles per
+    # outcome, drawn as (alpha, beta) per player.
+    bits = np.repeat(np.arange(8), 10)
+    defects = (bits[:, None] >> np.array([2, 1, 0])) & 1
+    profiles = np.empty((80, 3, 3))
+    profiles[..., 0] = math.pi * defects
+    profiles[..., 1:] = rng.uniform(-math.pi, math.pi, size=(80, 3, 2))
+    probs = outcome_probabilities(0.0, 0.0, *profiles.transpose(1, 0, 2))
+    entries = np.array(table.entries)
+    worst = float(np.max(np.abs(probs @ entries - entries[bits])))
     results["classical_limit"] = _check(
         "classical_limit", worst <= ATOL, {"max_abs_error": worst}, hard
     )
@@ -483,22 +478,21 @@ def build_verify_bundle(seed: int) -> tuple[dict, list]:
         hard,
     )
 
-    # Born conservation over seeded random draws.
-    worst_total = 0.0
-    for _ in range(1000):
-        config = GameConfig(rng.uniform(0, math.pi / 2), rng.uniform(0, math.pi / 2), table)
-        profile = [
-            StrategyParams(
-                rng.uniform(0, math.pi),
-                rng.uniform(-math.pi, math.pi),
-                rng.uniform(-math.pi, math.pi),
-            )
-            for _ in range(3)
-        ]
-        total = sum(outcome_distribution(config, *profile).probs.values())
-        worst_total = max(worst_total, abs(total - 1.0))
+    # Born conservation over seeded random draws: per row gamma, delta, then
+    # (theta, alpha, beta) per player.  The kernel itself raises once a row
+    # misses 1 by more than ATOL, so that error is this check's failure.
+    lo = [0.0, 0.0] + [0.0, -math.pi, -math.pi] * 3
+    hi = [math.pi / 2] * 2 + [math.pi, math.pi, math.pi] * 3
+    draws = rng.uniform(lo, hi, size=(1000, 11))
+    players = draws[:, 2:].reshape(-1, 3, 3).transpose(1, 0, 2)
+    try:
+        probs = outcome_probabilities(draws[:, 0], draws[:, 1], *players)
+    except ValueError as exc:
+        born = {"error": str(exc)}
+    else:
+        born = {"max_abs_sum_error": float(np.max(np.abs(probs.sum(axis=1) - 1.0)))}
     results["born_conservation"] = _check(
-        "born_conservation", worst_total <= ATOL, {"max_abs_sum_error": worst_total}, hard
+        "born_conservation", "error" not in born, born, hard
     )
 
     # Four-regime scan: the PP and EE values are analytically forced; the

@@ -34,109 +34,124 @@ Sampler = Callable[[np.random.Generator], tuple[GameConfig, tuple[StrategyParams
 class ClosedFormTerms:
     """Shared trigonometric ingredients of the closed form.
 
-    Identities that hold by construction: ``eta1 + eta2 == 1``,
-    ``c[k] + s[k] == 1`` per player, and ``|xi| <= 1/2``.
+    Each field is a scalar or an array holding one value per sample, as the
+    angles passed to :meth:`from_angles` are.  Identities that hold by
+    construction: ``eta1 + eta2 == 1``, ``c[k] + s[k] == 1`` per player, and
+    ``|xi| <= 1/2``.
     """
 
-    eta1: float
-    eta2: float
-    xi: float
-    c: tuple[float, float, float]
-    s: tuple[float, float, float]
+    eta1: np.ndarray
+    eta2: np.ndarray
+    xi: np.ndarray
+    c: tuple[np.ndarray, np.ndarray, np.ndarray]
+    s: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     @classmethod
-    def from_angles(
-        cls, gamma: float, delta: float, thetas: tuple[float, float, float]
-    ) -> "ClosedFormTerms":
-        cg, sg = math.cos(gamma / 2) ** 2, math.sin(gamma / 2) ** 2
-        cd, sd = math.cos(delta / 2) ** 2, math.sin(delta / 2) ** 2
+    def from_angles(cls, gamma, delta, thetas) -> "ClosedFormTerms":
+        """Terms for scalar or same-shape array ``gamma``, ``delta`` and three ``thetas``."""
+        cg, sg = np.cos(gamma / 2) ** 2, np.sin(gamma / 2) ** 2
+        cd, sd = np.cos(delta / 2) ** 2, np.sin(delta / 2) ** 2
         return cls(
             eta1=cg * cd + sg * sd,
             eta2=sg * cd + sd * cg,
-            xi=0.5 * math.sin(delta) * math.sin(gamma),
-            c=tuple(math.cos(t / 2) ** 2 for t in thetas),
-            s=tuple(math.sin(t / 2) ** 2 for t in thetas),
+            xi=0.5 * np.sin(delta) * np.sin(gamma),
+            c=tuple(np.cos(t / 2) ** 2 for t in thetas),
+            s=tuple(np.sin(t / 2) ** 2 for t in thetas),
         )
 
 
 def _closed_form_player(
-    dollars: dict[str, float],
+    dollars: dict[str, np.ndarray],
     terms: ClosedFormTerms,
-    gamma: float,
-    delta: float,
-    angles: tuple[StrategyParams, StrategyParams, StrategyParams],
-) -> float:
-    """One player's payoff, transcribed term-for-term from the printed form.
+    gamma: np.ndarray,
+    delta: np.ndarray,
+    params: np.ndarray,
+) -> np.ndarray:
+    """One player's payoff per sample, transcribed term-for-term from the printed form.
 
-    The repeated ``sin(tb)`` in the final four terms is intentional: it is
-    what the published expression literally says, and the whole point of this
-    evaluator is to measure that expression against the oracle.
+    ``gamma`` and ``delta`` hold one angle per sample, ``params`` the
+    ``(n, 3, 3)`` player-by-(theta, alpha, beta) angles and ``dollars`` maps
+    each outcome to the player's ``(n,)`` payoffs.  The repeated ``sin(tb)``
+    in the final four terms is intentional: it is what the published
+    expression literally says, and the whole point of this evaluator is to
+    measure that expression against the oracle.
     """
     d = dollars
     eta1, eta2, xi = terms.eta1, terms.eta2, terms.xi
     ca, cb, cc = terms.c
     sa, sb, sc = terms.s
-    pa, pb, pc = angles
-    aa, ab, ac = pa.alpha, pb.alpha, pc.alpha
-    ba, bb, bc = pa.beta, pb.beta, pc.beta
-    ta, tb, tc = pa.theta, pb.theta, pc.theta
+    (ta, aa, ba), (tb, ab, bb), (tc, ac, bc) = np.moveaxis(params, 0, -1)
 
     total = ca * cb * cc * (
         eta1 * d["000"] + eta2 * d["111"]
-        + (d["000"] - d["111"]) * xi * math.cos(2 * (aa + ab + ac))
+        + (d["000"] - d["111"]) * xi * np.cos(2 * (aa + ab + ac))
     )
     total += sa * sb * sc * (
         eta2 * d["000"] + eta1 * d["111"]
-        - (d["000"] - d["111"]) * xi * math.cos(2 * (ba + bb + bc))
+        - (d["000"] - d["111"]) * xi * np.cos(2 * (ba + bb + bc))
     )
     total += ca * cb * sc * (
         eta1 * d["001"] + eta2 * d["110"]
-        + (d["001"] - d["110"]) * xi * math.cos(2 * (aa + ab - bc))
+        + (d["001"] - d["110"]) * xi * np.cos(2 * (aa + ab - bc))
     )
     total += sa * sb * cc * (
         eta2 * d["001"] + eta1 * d["110"]
-        - (d["001"] - d["110"]) * xi * math.cos(2 * (ba + bb - ac))
+        - (d["001"] - d["110"]) * xi * np.cos(2 * (ba + bb - ac))
     )
     total += sa * cb * cc * (
         eta1 * d["100"] + eta2 * d["011"]
-        + (d["100"] - d["011"]) * xi * math.cos(2 * (ab + ac - ba))
+        + (d["100"] - d["011"]) * xi * np.cos(2 * (ab + ac - ba))
     )
     total += ca * sb * sc * (
         eta2 * d["100"] + eta1 * d["011"]
-        - (d["100"] - d["011"]) * xi * math.cos(2 * (bb + bc - aa))
+        - (d["100"] - d["011"]) * xi * np.cos(2 * (bb + bc - aa))
     )
     total += sa * cb * sc * (
         eta1 * d["101"] + eta2 * d["010"]
-        + (d["101"] - d["010"]) * xi * math.cos(2 * (ba + bc - ab))
+        + (d["101"] - d["010"]) * xi * np.cos(2 * (ba + bc - ab))
     )
     total += ca * sb * cc * (
         eta2 * d["101"] + eta1 * d["010"]
-        - (d["101"] - d["010"]) * xi * math.cos(2 * (aa + ac - bb))
+        - (d["101"] - d["010"]) * xi * np.cos(2 * (aa + ac - bb))
     )
 
     # Initial-state entanglement correction: this term does carry all three
     # sin(theta) factors.
     total += (
         0.125
-        * (math.cos(delta / 2) ** 2 - math.sin(delta / 2) ** 2)
+        * (np.cos(delta / 2) ** 2 - np.sin(delta / 2) ** 2)
         * (
             d["000"] - d["111"] - d["001"] + d["110"]
             - d["010"] + d["101"] + d["011"] - d["100"]
         )
-        * math.sin(gamma)
-        * math.sin(ta) * math.sin(tb) * math.sin(tc)
-        * math.cos(aa + ab + ac - ba - bb - bc)
+        * np.sin(gamma)
+        * np.sin(ta) * np.sin(tb) * np.sin(tc)
+        * np.cos(aa + ab + ac - ba - bb - bc)
     )
 
     # Measurement-basis entanglement corrections, sin(tb) printed twice.
-    sin_block = math.sin(delta) * math.sin(ta) * math.sin(tb) * math.sin(tb)
-    block = (d["000"] - d["111"]) * sin_block * math.cos(aa + ab + ac - ba - bb - bc)
-    block += (d["110"] - d["001"]) * sin_block * math.cos(aa + ab - ac + ba + bb - bc)
-    block += (d["010"] - d["101"]) * sin_block * math.cos(aa - ab + ac + ba - bb + bc)
-    block += (d["100"] - d["011"]) * sin_block * math.cos(aa - ab - ac + ba - bb - bc)
-    total += block * 0.125 * (math.cos(gamma / 2) ** 2 - math.sin(gamma / 2) ** 2)
+    sin_block = np.sin(delta) * np.sin(ta) * np.sin(tb) * np.sin(tb)
+    block = (d["000"] - d["111"]) * sin_block * np.cos(aa + ab + ac - ba - bb - bc)
+    block += (d["110"] - d["001"]) * sin_block * np.cos(aa + ab - ac + ba + bb - bc)
+    block += (d["010"] - d["101"]) * sin_block * np.cos(aa - ab + ac + ba - bb + bc)
+    block += (d["100"] - d["011"]) * sin_block * np.cos(aa - ab - ac + ba - bb - bc)
+    total += block * 0.125 * (np.cos(gamma / 2) ** 2 - np.sin(gamma / 2) ** 2)
 
     return total
+
+
+def _closed_form(draws) -> np.ndarray:
+    """The printed closed form for each ``(config, profile)`` of ``draws``, shape ``(n, 3)``."""
+    gamma = np.array([config.gamma for config, _ in draws])
+    delta = np.array([config.delta for config, _ in draws])
+    # (n, player, (theta, alpha, beta)) angles and (n, outcome, player) payoffs
+    params = np.array([[p.as_tuple() for p in profile] for _, profile in draws])
+    tables = np.array([config.payoffs.entries for config, _ in draws])
+    terms = ClosedFormTerms.from_angles(gamma, delta, tuple(params[:, :, 0].T))
+    players = [dict(zip(OUTCOMES, tables[:, :, k].T)) for k in range(3)]
+    return np.stack(
+        [_closed_form_player(d, terms, gamma, delta, params) for d in players], axis=1
+    )
 
 
 def closed_form_payoffs(
@@ -149,12 +164,7 @@ def closed_form_payoffs(
     agrees with the oracle there.  Away from that corner, agreement is an
     empirical question answered by :func:`compare_to_oracle`.
     """
-    terms = ClosedFormTerms.from_angles(config.gamma, config.delta, (pa.theta, pb.theta, pc.theta))
-    values = []
-    for k in range(3):
-        dollars = {o: row[k] for o, row in zip(OUTCOMES, config.payoffs.entries)}
-        values.append(_closed_form_player(dollars, terms, config.gamma, config.delta, (pa, pb, pc)))
-    return PayoffTriple(*values)
+    return PayoffTriple(*_closed_form([(config, (pa, pb, pc))])[0].tolist())
 
 
 def max_entanglement_payoffs(
@@ -291,24 +301,24 @@ def compare_to_oracle(sampler: Sampler, n: int, seed: int = 0) -> ComparisonRepo
     """Sample ``n`` profiles and tabulate closed-form-vs-oracle deltas.
 
     Deterministic for a fixed ``(sampler, n, seed)``; deltas are recorded, not
-    judged; callers decide which regimes warrant assertions.
+    judged; callers decide which regimes warrant assertions.  The closed form
+    runs once over all ``n`` samples; the oracle runs once per sample.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
+    draws = [sampler(rng) for _ in range(n)]
     samples = []
-    for _ in range(n):
-        config, profile = sampler(rng)
+    for (config, profile), closed_form in zip(draws, _closed_form(draws).tolist()):
         oracle = expected_payoffs(config, *profile).as_tuple()
-        closed = closed_form_payoffs(config, *profile).as_tuple()
         samples.append(
             ComparisonSample(
                 gamma=config.gamma,
                 delta=config.delta,
                 params=tuple(p.as_tuple() for p in profile),
                 oracle=oracle,
-                closed_form=closed,
-                delta_abs=tuple(abs(a - b) for a, b in zip(oracle, closed)),
+                closed_form=tuple(closed_form),
+                delta_abs=tuple(abs(a - b) for a, b in zip(oracle, closed_form)),
             )
         )
     return ComparisonReport(seed=seed, samples=tuple(samples))

@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .game import (
     ATOL,
     DEFAULT_PAYOFF_TABLE,
@@ -30,7 +32,7 @@ from .game import (
     PayoffTable,
     PayoffTriple,
     StrategyParams,
-    expected_payoffs,
+    outcome_probabilities,
 )
 
 #: Bob/Charlie's fixed phases in the restricted game: alpha = 0, beta = pi/2,
@@ -154,20 +156,31 @@ class DecodeResult:
 def protocol_table(
     gamma: float, delta: float, table: PayoffTable = DEFAULT_PAYOFF_TABLE
 ) -> ProtocolTable:
-    """Oracle-evaluated protocol table for the given entanglement angles."""
+    """Oracle-evaluated protocol table for the given entanglement angles.
+
+    The 16 (codeword, column) profiles go through the kernel as one batch.
+    """
     config = GameConfig(gamma, delta, table)
-    rows = []
-    for cw in CODEWORDS:
-        row = []
-        for tb, tc in COLUMNS:
-            row.append(expected_payoffs(config, cw.params, common_move(tb), common_move(tc)))
-        rows.append(tuple(row))
+    # (16, player, (theta, alpha, beta)), codeword-major
+    profiles = np.array(
+        [
+            [p.as_tuple() for p in (cw.params, common_move(tb), common_move(tc))]
+            for cw in CODEWORDS
+            for tb, tc in COLUMNS
+        ]
+    )
+    probs = outcome_probabilities(config.gamma, config.delta, *profiles.transpose(1, 0, 2))
+    # One dot per row and player, as expected_payoffs takes it, so each entry
+    # equals the single-profile oracle bit for bit.
+    columns = [table.column(k) for k in range(3)]
+    triples = [PayoffTriple(*(float(row @ col) for col in columns)) for row in probs]
+    n = len(COLUMNS)
     return ProtocolTable(
         label=f"oracle(gamma={gamma:.6g}, delta={delta:.6g})",
         provenance="oracle",
         gamma=gamma,
         delta=delta,
-        entries=tuple(rows),
+        entries=tuple(tuple(triples[i : i + n]) for i in range(0, len(triples), n)),
     )
 
 

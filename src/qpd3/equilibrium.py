@@ -36,6 +36,12 @@ from .game import (
 _THETA_ANCHORS = (0.0, math.pi / 2, math.pi)
 _PHASE_ANCHORS = (-math.pi, 0.0, math.pi / 2, math.pi)
 
+#: Largest grid a ``GridSpec`` accepts, in points per player.  A best-response
+#: pass holds about 507 bytes per candidate at its peak (tracemalloc over
+#: ``verify_nash`` on the 53,361-point refined default grid), so this cap
+#: keeps one pass near 0.5 GB instead of letting a typo ask for tens of GB.
+MAX_GRID_POINTS = 1_000_000
+
 
 def _grid_axis(count: int, lo: float, hi: float, anchors: tuple[float, ...]) -> np.ndarray:
     if count < 2:
@@ -60,6 +66,18 @@ class GridSpec:
     def __post_init__(self):
         if min(self.theta_points, self.alpha_points, self.beta_points) < 2:
             raise ValueError("every grid axis needs at least 2 points")
+        # Anchors add at most one point each, so this bounds size() without
+        # building a single axis.
+        bound = (
+            (self.theta_points + len(_THETA_ANCHORS))
+            * (self.alpha_points + len(_PHASE_ANCHORS))
+            * (self.beta_points + len(_PHASE_ANCHORS))
+        )
+        if bound > MAX_GRID_POINTS:
+            raise ValueError(
+                f"grid {self.theta_points},{self.alpha_points},{self.beta_points} may hold "
+                f"{bound} points per player, beyond the limit of {MAX_GRID_POINTS}"
+            )
 
     def theta_values(self) -> np.ndarray:
         return _grid_axis(self.theta_points, 0.0, math.pi, _THETA_ANCHORS)

@@ -285,20 +285,32 @@ _PARAM_LO = np.array([0.0, -math.pi, -math.pi])
 _PARAM_HI = np.array([math.pi, math.pi, math.pi])
 
 
-def outcome_probabilities(gamma: float, delta: float, pa, pb, pc) -> np.ndarray:
+def outcome_probabilities(gamma, delta, pa, pb, pc) -> np.ndarray:
     """Born-rule probabilities ``|<psi_lmn|psi_f>|^2``, shape ``(N, 8)``, in ``OUTCOMES`` order.
 
-    Each player argument is ``(theta, alpha, beta)`` with shape ``(3,)`` or
-    ``(N, 3)``; the three broadcast against each other, so one batched player
-    facing two fixed ones costs no copies of the fixed moves.
+    ``gamma`` and ``delta`` are scalars or ``(N,)`` arrays, one angle per
+    row.  Each player argument is ``(theta, alpha, beta)`` with shape
+    ``(3,)`` or ``(N, 3)``.  All five broadcast against each other, so one
+    batched player facing two fixed ones costs no copies of the fixed moves,
+    and a row of a batch equals the single-profile call bit for bit.
 
     Raises:
         ValueError: if an argument has the wrong shape, an angle is
             non-finite or out of range, or a row fails to sum to 1 within
             ``ATOL`` (a bug, not a legitimate input).
     """
-    gamma = _check_range("gamma", gamma, 0.0, math.pi / 2)
-    delta = _check_range("delta", delta, 0.0, math.pi / 2)
+    angles = [np.asarray(a, dtype=float) for a in (gamma, delta)]
+    for name, a in zip(("gamma", "delta"), angles):
+        if a.ndim > 1:
+            raise ValueError(f"{name} needs shape () or (N,), got shape {a.shape}")
+    # Both angles go through one range check and one pair of trig calls.
+    flat = np.concatenate([a.ravel() for a in angles])
+    if not ((0.0 <= flat) & (flat <= math.pi / 2)).all():
+        raise ValueError("gamma and delta must lie in [0, pi/2]")
+    # (1, 1) or (N, 1) halves, so they broadcast along the 8 amplitudes of a row.
+    half = flat[:, None] / 2
+    ng = angles[0].size
+    (cos_g, cos_d), (sin_g, sin_d) = ((t[:ng], t[ng:]) for t in (np.cos(half), np.sin(half)))
     players = [np.asarray(p, dtype=float) for p in (pa, pb, pc)]
     for name, p in zip(PLAYERS, players):
         if p.ndim not in (1, 2) or p.shape[-1] != 3:
@@ -309,13 +321,16 @@ def outcome_probabilities(gamma: float, delta: float, pa, pb, pc) -> np.ndarray:
     # All players' rows go through one range check and one move evaluation.
     rows = np.concatenate([p.reshape(-1, 3) for p in players])
     # NaN fails both comparisons, so this also rejects non-finite angles.
-    if not np.all((_PARAM_LO <= rows) & (rows <= _PARAM_HI)):
+    if not ((_PARAM_LO <= rows) & (rows <= _PARAM_HI)).all():
         raise ValueError(
             "player angles must satisfy 0 <= theta <= pi and -pi <= alpha, beta <= pi"
         )
     na, nb = (p.size // 3 for p in players[:2])
-    parts = np.split(moves(rows), [na, na + nb])
-    ua, ub, uc = (u.reshape(p.shape[:-1] + (2, 2)) for u, p in zip(parts, players))
+    u = moves(rows)
+    ua, ub, uc = (
+        part.reshape(p.shape[:-1] + (2, 2))
+        for part, p in zip((u[:na], u[na : na + nb], u[na + nb :]), players)
+    )
 
     def branch(j: int) -> np.ndarray:
         # U_A|j> (x) U_B|j> (x) U_C|j>, Alice on the most significant bit
@@ -324,14 +339,14 @@ def outcome_probabilities(gamma: float, delta: float, pa, pb, pc) -> np.ndarray:
         return product.reshape(-1, 8)
 
     # Only |000> and |111> are occupied initially.
-    psi = math.cos(gamma / 2) * branch(0)
-    psi += 1j * math.sin(gamma / 2) * branch(1)
+    psi = cos_g * branch(0)
+    psi += 1j * sin_g * branch(1)
     # <psi_lmn|psi> = cos(delta/2) psi[lmn] -+ i sin(delta/2) psi[l'm'n'],
     # and the complement of index b is 7 - b.
-    amp = (-1j * math.sin(delta / 2) * _SIGNS) * psi[:, ::-1]
-    amp += math.cos(delta / 2) * psi
+    amp = (-1j * sin_d * _SIGNS) * psi[:, ::-1]
+    amp += cos_d * psi
     probs = amp.real**2 + amp.imag**2
-    worst = float(np.max(np.abs(probs.sum(axis=1) - 1.0)))
+    worst = float(np.abs(probs.sum(axis=1) - 1.0).max())
     if worst > ATOL:
         raise ValueError(f"outcome probabilities sum to 1 +- {worst!r}, beyond {ATOL}")
     return probs

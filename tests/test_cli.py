@@ -3,7 +3,9 @@ import json
 import math
 import re
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 
 import qpd3
@@ -63,6 +65,9 @@ class TestAngleParsing:
         }
         with pytest.raises(UsageError):
             parse_grid("5,7")
+        # rejected while parsing, before anything of the grid is built
+        with pytest.raises(UsageError, match="beyond the limit"):
+            parse_grid("1000,1000,1000")
 
 
 class TestPayoffCommand:
@@ -295,6 +300,39 @@ class TestVerify:
         assert set(doc) == SECTIONS
         assert doc["inputs"]["seed"] == DEFAULT_SEED == 1729
         assert doc["verdicts"]["hard_failures"] == []
+
+    def test_born_conservation_failure_is_reported(self, monkeypatch, tmp_path, capsys):
+        kernel = qpd3.cli.outcome_probabilities
+
+        def failing_on_per_row_angles(gamma, delta, *players):
+            if np.ndim(gamma) == 1:
+                raise ValueError("outcome probabilities sum to 1 +- 0.5, beyond 1e-12")
+            return kernel(gamma, delta, *players)
+
+        monkeypatch.setattr(qpd3.cli, "outcome_probabilities", failing_on_per_row_angles)
+        doc, hard = build_verify_bundle(DEFAULT_SEED)
+        record = doc["results"]["born_conservation"]
+        assert record["pass"] is False
+        assert "beyond 1e-12" in record["error"]
+        assert hard == ["born_conservation"]
+        assert main(["verify", "--out", str(tmp_path / "v.json")]) == 1
+        assert "FAIL  born_conservation" in capsys.readouterr().err
+
+    def test_kernel_calls_per_bundle(self, monkeypatch):
+        # The kernel evaluates moves once per call, so counting moves counts
+        # kernel calls; strategy_unitary would call moves too, and must not run.
+        spies = {
+            name: mock.Mock(wraps=getattr(qpd3.game, name))
+            for name in ("moves", "strategy_unitary")
+        }
+        for name, spy in spies.items():
+            monkeypatch.setattr(qpd3.game, name, spy)
+        build_verify_bundle(DEFAULT_SEED)
+        # 1 classical-limit batch, 1 Born-conservation batch, 4 protocol
+        # tables, 6 certificates x 4 calls, and 2 x 1000 closed-form samples
+        # checked one oracle call each.
+        assert spies["moves"].call_count == 2030
+        assert spies["strategy_unitary"].call_count == 0
 
     def test_default_seed_constant(self):
         assert isinstance(DEFAULT_SEED, int)

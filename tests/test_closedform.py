@@ -173,6 +173,14 @@ class TestCompareToOracle:
         with pytest.raises(ValueError):
             compare_to_oracle(sample_any, 0)
 
+    @pytest.mark.parametrize("sampler", [sample_any, sample_classical_limit, sample_pure_moves])
+    def test_batch_equals_single_profile_closed_form(self, sampler):
+        report = compare_to_oracle(sampler, 200, seed=21)
+        for s in report.samples:
+            config = GameConfig(s.gamma, s.delta)
+            profile = [StrategyParams(*p) for p in s.params]
+            assert s.closed_form == closed_form_payoffs(config, *profile).as_tuple()
+
     def test_record_shape(self):
         report = compare_to_oracle(sample_any, 3, seed=5)
         record = report.to_record()

@@ -5,6 +5,7 @@ import pytest
 from qpd3 import (
     CODEWORDS,
     COLUMNS,
+    REGIMES,
     GameConfig,
     ObservationModel,
     common_move,
@@ -118,14 +119,16 @@ class TestProtocolTable:
         assert table.entry(3, 0).as_tuple() == pytest.approx((5 / 2, 3, 3), abs=1e-12)
 
     def test_oracle_entries_match_expected_payoffs(self):
-        config = GameConfig(0.3, 0.9)
-        table = protocol_table(0.3, 0.9)
-        for i, cw in enumerate(CODEWORDS):
-            for j, (tb, tc) in enumerate(COLUMNS):
-                want = expected_payoffs(config, cw.params, common_move(tb), common_move(tc))
-                assert table.entry(i, j).as_tuple() == pytest.approx(
-                    want.as_tuple(), abs=1e-15
-                )
+        # the batched table against one oracle call per entry, in every regime
+        for gamma, delta in [(0.3, 0.9), (1.3, 0.05), *REGIMES.values()]:
+            config = GameConfig(gamma, delta)
+            table = protocol_table(gamma, delta)
+            for i, cw in enumerate(CODEWORDS):
+                for j, (tb, tc) in enumerate(COLUMNS):
+                    want = expected_payoffs(config, cw.params, common_move(tb), common_move(tc))
+                    assert table.entry(i, j).as_tuple() == pytest.approx(
+                        want.as_tuple(), abs=1e-15
+                    )
 
     def test_column_lookup(self):
         table = fixture_table("table2")

@@ -12,7 +12,7 @@ from qpd3 import (
     four_case_scan,
     verify_nash,
 )
-from qpd3.equilibrium import _batched_payoffs, _candidate_params
+from qpd3.equilibrium import MAX_GRID_POINTS, _batched_payoffs, _candidate_params
 
 from conftest import random_params, trace_rule_payoffs
 
@@ -46,6 +46,19 @@ class TestGridSpec:
     def test_rejects_tiny_axes(self):
         with pytest.raises(ValueError):
             GridSpec(1, 17, 17)
+
+    def test_rejects_grids_beyond_the_size_limit(self):
+        # rejected from the counts alone: building these would take tens of GB
+        for counts in ((1000, 1000, 1000), (10**12, 2, 2), (2, 2, 10**9)):
+            with pytest.raises(ValueError, match="beyond the limit"):
+                GridSpec(*counts)
+        # the largest cube whose bound (t + 3)(a + 4)(b + 4) fits is accepted
+        assert (97 + 3) * (96 + 4) * (96 + 4) <= MAX_GRID_POINTS
+        GridSpec(97, 96, 96)
+        with pytest.raises(ValueError):
+            GridSpec(98, 96, 96)
+        # the refined default grid is far inside the limit
+        assert GridSpec().refined().size() < MAX_GRID_POINTS
 
     def test_refined_is_superset(self):
         grid = GridSpec(9, 9, 9)

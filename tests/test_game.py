@@ -292,6 +292,16 @@ class TestOutcomeProbabilities:
         for i in range(50):
             single = outcome_probabilities(config.gamma, config.delta, *rows[:, i])
             assert np.array_equal(batch[i], single[0])
+        # one (gamma, delta) per row, with batched and with fixed players
+        gammas = rng.uniform(0.0, HALF_PI, 50)
+        deltas = rng.uniform(0.0, HALF_PI, 50)
+        for players in (rows, fixed):
+            batch = outcome_probabilities(gammas, deltas, *players)
+            assert batch.shape == (50, 8)
+            for i in range(50):
+                row = [p[i] if np.ndim(p) == 2 else p for p in players]
+                single = outcome_probabilities(float(gammas[i]), float(deltas[i]), *row)
+                assert np.array_equal(batch[i], single[0])
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     @pytest.mark.parametrize(
@@ -325,6 +335,18 @@ class TestOutcomeProbabilities:
     def test_rejects_bad_config_angles(self, gamma, delta):
         with pytest.raises(ValueError):
             outcome_probabilities(gamma, delta, *[(0.0, 0.0, 0.0)] * 3)
+        # the same bad angle inside an (N,) array of good ones
+        with pytest.raises(ValueError):
+            outcome_probabilities([0.1, gamma, 0.2], [0.3, delta, 0.4], *[(0.0, 0.0, 0.0)] * 3)
+
+    def test_rejects_bad_config_shapes(self):
+        with pytest.raises(ValueError):
+            outcome_probabilities(np.zeros((2, 1)), 0.0, *[(0.0, 0.0, 0.0)] * 3)
+        with pytest.raises(ValueError):
+            outcome_probabilities(0.0, np.zeros((1, 2)), *[(0.0, 0.0, 0.0)] * 3)
+        # per-row angles must match the players' rows
+        with pytest.raises(ValueError):
+            outcome_probabilities(np.zeros(3), 0.0, np.zeros((2, 3)), *[(0.0, 0.0, 0.0)] * 2)
 
 
 class TestClassicalPayoff:
