@@ -7,6 +7,15 @@ grid.  The verdict is refinement-monotone (enlarging the grid can only
 expose more deviations, never fewer), which makes it an honest, testable
 certificate.
 
+Every move is a unit quaternion ``q``: ``U = q0 I + i(q1 X + q2 Y + q3 Z)``,
+with ``cos(theta/2) e^{i alpha} = q0 + i q3`` and
+``sin(theta/2) e^{i beta} = q1 - i q2``.  The final state is linear in the
+deviating player's ``q``, so with the other two moves fixed each outcome
+probability, and hence the player's payoff, is a real quadratic form
+``q^T Q q``.  One kernel call of 10 moves fixes ``Q`` by polarization, and
+the grid is scanned by evaluating the form at every grid quaternion; the
+Born rule itself is evaluated only in ``game.outcome_probabilities``.
+
 The four regimes are ``game.REGIMES``: the initial state and the
 measurement basis are each product (P) or maximally entangled (E).
 """
@@ -37,10 +46,28 @@ _THETA_ANCHORS = (0.0, math.pi / 2, math.pi)
 _PHASE_ANCHORS = (-math.pi, 0.0, math.pi / 2, math.pi)
 
 #: Largest grid a ``GridSpec`` accepts, in points per player.  A best-response
-#: pass holds about 507 bytes per candidate at its peak (tracemalloc over
+#: pass holds about 80 bytes per candidate at its peak (tracemalloc over
 #: ``verify_nash`` on the 53,361-point refined default grid), so this cap
-#: keeps one pass near 0.5 GB instead of letting a typo ask for tens of GB.
+#: keeps one pass near 80 MB instead of letting a typo ask for tens of GB.
 MAX_GRID_POINTS = 1_000_000
+
+#: Deviating moves whose payoffs fix a player's quadratic form: the basis
+#: quaternions e_m (I, iX, iY, iZ), then (e_m + e_n)/sqrt(2) for the pairs
+#: m < n in ``np.triu_indices(4, 1)`` order.
+_POLAR_MOVES = np.array(
+    [
+        (0.0, 0.0, 0.0),
+        (math.pi, 0.0, 0.0),
+        (math.pi, 0.0, -math.pi / 2),
+        (0.0, math.pi / 2, 0.0),
+        (math.pi / 2, 0.0, 0.0),
+        (math.pi / 2, 0.0, -math.pi / 2),
+        (0.0, math.pi / 4, 0.0),
+        (math.pi, 0.0, -math.pi / 4),
+        (math.pi / 2, math.pi / 2, 0.0),
+        (math.pi / 2, math.pi / 2, -math.pi / 2),
+    ]
+)
 
 
 def _grid_axis(count: int, lo: float, hi: float, anchors: tuple[float, ...]) -> np.ndarray:
@@ -168,17 +195,62 @@ def _candidate_params(grid: GridSpec) -> np.ndarray:
     return np.stack([axis.ravel() for axis in axes], axis=1)
 
 
-def _batched_payoffs(
+def _grid_quaternions(grid: GridSpec) -> np.ndarray:
+    """Unit quaternions of the grid's moves, ``(G, 4)``, in ``_candidate_params`` order."""
+    theta, alpha, beta = grid.theta_values(), grid.alpha_values(), grid.beta_values()
+    # Grid moves never reach the kernel, so their range is checked here.
+    for name, axis, lo, hi in (
+        ("theta", theta, 0.0, math.pi),
+        ("alpha", alpha, -math.pi, math.pi),
+        ("beta", beta, -math.pi, math.pi),
+    ):
+        if not ((lo <= axis) & (axis <= hi)).all():
+            raise ValueError(f"grid {name} values must lie in [{lo:.6g}, {hi:.6g}]")
+    c, s = np.cos(theta / 2)[:, None, None], np.sin(theta / 2)[:, None, None]
+    q = np.empty((len(theta), len(alpha), len(beta), 4))
+    q[..., 0] = c * np.cos(alpha)[:, None]
+    q[..., 1] = s * np.cos(beta)
+    q[..., 2] = -s * np.sin(beta)
+    q[..., 3] = c * np.sin(alpha)[:, None]
+    return q.reshape(-1, 4)
+
+
+def _payoff_form(
     player: int,
-    candidates: np.ndarray,
     others: tuple[StrategyParams, StrategyParams],
     config: GameConfig,
 ) -> np.ndarray:
-    """Oracle payoffs of ``player`` for each ``(G, 3)`` candidate row, others fixed."""
+    """Player's payoff as a symmetric 4x4 form ``Q``, others fixed: ``payoff = q^T Q q``.
+
+    Raises:
+        ValueError: if the outcome forms do not sum to the identity within
+            ``ATOL``, which bounds the probability-sum error at every unit
+            quaternion by the tolerance the kernel holds each row to.
+    """
     players = [p.as_tuple() for p in others]
-    players.insert(player, candidates)
+    players.insert(player, _POLAR_MOVES)
     probs = outcome_probabilities(config.gamma, config.delta, *players)
-    return probs @ config.payoffs.column(player)
+    # forms[m, n, j]: outcome j's form, by polarization of its probability
+    forms = np.empty((4, 4, probs.shape[1]))
+    diag = probs[:4]
+    forms[range(4), range(4)] = diag
+    m, n = np.triu_indices(4, 1)
+    forms[m, n] = forms[n, m] = probs[4:] - (diag[m] + diag[n]) / 2
+    err = float(np.linalg.norm(forms.sum(axis=2) - np.eye(4), 2))
+    if err > ATOL:
+        raise ValueError(f"outcome forms sum to the identity +- {err!r}, beyond {ATOL}")
+    return forms @ config.payoffs.column(player)
+
+
+def _batched_payoffs(
+    player: int,
+    quaternions: np.ndarray,
+    others: tuple[StrategyParams, StrategyParams],
+    config: GameConfig,
+) -> np.ndarray:
+    """Payoffs of ``player`` for each ``(G, 4)`` quaternion row, others fixed."""
+    form = _payoff_form(player, others, config)
+    return np.einsum("gi,gi->g", quaternions @ form, quaternions)
 
 
 def best_response(
@@ -190,17 +262,18 @@ def best_response(
     """Argmax of the player's payoff over their grid, opponents held fixed.
 
     ``others`` are the remaining players' parameters in ascending player
-    order (B,C for Alice, A,C for Bob, A,B for Charlie).  Ties, including
-    float near-ties within ``ATOL`` (which is where payoff-irrelevant phases
-    land), break to the lexicographically smallest (theta, alpha, beta).
+    order (B,C for Alice, A,C for Bob, A,B for Charlie).  The grid is scanned
+    through the player's payoff form, one kernel call in all.  Ties,
+    including float near-ties within ``ATOL`` (which is where
+    payoff-irrelevant phases land), break to the lexicographically smallest
+    (theta, alpha, beta).
     """
     k = player_index(player)
-    candidates = _candidate_params(grid)
-    payoffs = _batched_payoffs(k, candidates, others, config)
-    # candidates are in lexicographic order, so the first near-maximizer is
-    # the required tie-break
+    payoffs = _batched_payoffs(k, _grid_quaternions(grid), others, config)
+    # quaternions are in lexicographic candidate order, so the first
+    # near-maximizer is the required tie-break
     best = int(np.argmax(payoffs >= payoffs.max() - ATOL))
-    return StrategyParams(*candidates[best])
+    return StrategyParams(*_candidate_params(grid)[best])
 
 
 def verify_nash(
@@ -208,13 +281,18 @@ def verify_nash(
     config: GameConfig,
     grid: GridSpec,
 ) -> EquilibriumReport:
-    """Measure every player's unilateral grid-deviation gain at ``profile``."""
+    """Measure every player's unilateral grid-deviation gain at ``profile``.
+
+    The played payoffs come from the oracle; each player's grid payoffs come
+    from their payoff form at the grid quaternions, built once for all three.
+    That makes four kernel calls of at most 10 rows, whatever the grid size.
+    """
     payoff = expected_payoffs(config, *profile.as_tuple())
-    candidates = _candidate_params(grid)
+    quaternions = _grid_quaternions(grid)
     gaps = []
     for k in range(3):
         others = tuple(p for i, p in enumerate(profile.as_tuple()) if i != k)
-        payoffs = _batched_payoffs(k, candidates, others, config)
+        payoffs = _batched_payoffs(k, quaternions, others, config)
         gaps.append(max(float(payoffs.max()) - payoff[k], 0.0))
     return EquilibriumReport(profile, payoff, tuple(gaps), grid)
 

@@ -21,7 +21,8 @@ equilibrium scan elsewhere in the package is validated against it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -131,6 +132,8 @@ class PayoffTable:
     """Payoff triples for the 8 classical outcomes, keyed by ``lmn`` labels."""
 
     entries: tuple[tuple[float, float, float], ...]
+    # Row k holds player k's 8 payoffs: read-only, C-contiguous, built once.
+    _columns: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.entries) != len(OUTCOMES):
@@ -142,6 +145,9 @@ class PayoffTable:
         if any(len(row) != 3 for row in clean):
             raise ValueError("each outcome row must hold exactly 3 payoffs")
         object.__setattr__(self, "entries", clean)
+        columns = np.ascontiguousarray(np.array(clean, dtype=float).T)
+        columns.flags.writeable = False
+        object.__setattr__(self, "_columns", columns)
 
     @classmethod
     def from_mapping(cls, mapping) -> "PayoffTable":
@@ -150,15 +156,22 @@ class PayoffTable:
             raise ValueError(
                 f"payoff table keys must be exactly {sorted(OUTCOMES)}, got {sorted(keys)}"
             )
+        for o in OUTCOMES:
+            row = mapping[o]
+            if not (
+                isinstance(row, (list, tuple))
+                and len(row) == 3
+                and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in row)
+            ):
+                raise ValueError(f"payoff row {o!r} must be a list of 3 real numbers, got {row!r}")
         return cls(tuple(tuple(float(x) for x in mapping[o]) for o in OUTCOMES))
 
     def triple(self, outcome: str) -> tuple[float, float, float]:
         return self.entries[OUTCOMES.index(outcome)]
 
     def column(self, player) -> np.ndarray:
-        """All 8 payoffs of one player, in basis order."""
-        k = player_index(player)
-        return np.array([row[k] for row in self.entries], dtype=float)
+        """All 8 payoffs of one player, in basis order (a read-only view)."""
+        return self._columns[player_index(player)]
 
     def as_mapping(self) -> dict[str, list[float]]:
         return {o: list(row) for o, row in zip(OUTCOMES, self.entries)}

@@ -251,6 +251,25 @@ class TestPayoffTableFile:
         with pytest.raises(UsageError):
             load_payoff_table(str(table_file))
 
+    @pytest.mark.parametrize(
+        "row", [3, None, [[1], 2, 3], "123"], ids=["number", "null", "nested", "string"]
+    )
+    def test_malformed_row_exits_with_message(self, tmp_path, capsys, row):
+        entries = {format(b, "03b"): [1.0, 1.0, 1.0] for b in range(8)}
+        entries["011"] = row
+        table_file = tmp_path / "bad.json"
+        table_file.write_text(json.dumps(entries))
+        out = tmp_path / "payoff.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["payoff", "--gamma", "0", "--delta", "0",
+                  "--alice", "0,0,0", "--bob", "0,0,0", "--charlie", "0,0,0",
+                  "--payoffs", str(table_file), "--out", str(out)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'011'" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_file_exits_with_message(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
         with pytest.raises(SystemExit) as excinfo:

@@ -3,21 +3,51 @@ import math
 import numpy as np
 import pytest
 
+import qpd3
 from qpd3 import (
+    DEFAULT_PAYOFF_TABLE,
     GameConfig,
     GridSpec,
     Profile,
     StrategyParams,
     best_response,
+    expected_payoffs,
     four_case_scan,
     verify_nash,
 )
-from qpd3.equilibrium import MAX_GRID_POINTS, _batched_payoffs, _candidate_params
+from qpd3.equilibrium import (
+    _POLAR_MOVES,
+    MAX_GRID_POINTS,
+    _batched_payoffs,
+    _candidate_params,
+    _grid_quaternions,
+    _payoff_form,
+)
+from qpd3.game import moves
 
-from conftest import random_params, trace_rule_payoffs
+from conftest import random_config, random_params, trace_rule_payoffs
 
 HALF_PI = math.pi / 2
 SMALL_GRID = GridSpec(5, 5, 5)
+
+
+def quaternions_of(params) -> np.ndarray:
+    """``q`` read off ``U = q0 I + i(q1 X + q2 Y + q3 Z)``, where
+    ``U[0, 0] = q0 + i q3`` and ``U[0, 1] = q2 + i q1``."""
+    u = moves(params)
+    return np.stack([u[..., 0, 0].real, u[..., 0, 1].imag, u[..., 0, 1].real, u[..., 0, 0].imag], -1)
+
+
+def exact_gaps(profile: Profile, config: GameConfig) -> list[float]:
+    """Best gain over all of SU(2): the top eigenvalue of each player's form."""
+    played = profile.as_tuple()
+    payoff = expected_payoffs(config, *played)
+    gaps = []
+    for k in range(3):
+        others = tuple(p for i, p in enumerate(played) if i != k)
+        form = _payoff_form(k, others, config)
+        gaps.append(max(float(np.linalg.eigvalsh(form).max()) - payoff[k], 0.0))
+    return gaps
 
 
 def defect() -> StrategyParams:
@@ -73,6 +103,26 @@ class TestGridSpec:
 
 
 class TestBatchedKernel:
+    def test_polar_moves_are_the_basis_quaternions_and_their_midpoints(self):
+        basis = np.eye(4)
+        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        quats = list(basis) + [(basis[m] + basis[n]) / math.sqrt(2) for m, n in pairs]
+        pauli = (
+            np.eye(2),
+            1j * np.array([[0, 1], [1, 0]]),
+            1j * np.array([[0, -1j], [1j, 0]]),
+            1j * np.diag([1, -1]),
+        )
+        expected = [sum(qi * p for qi, p in zip(q, pauli)) for q in quats]
+        assert np.allclose(moves(_POLAR_MOVES), expected, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("grid", [SMALL_GRID, GridSpec()], ids=["5x5x5", "default"])
+    def test_grid_quaternions_follow_candidate_order(self, grid):
+        quats = _grid_quaternions(grid)
+        assert quats.shape == (grid.size(), 4)
+        read_off = quaternions_of(_candidate_params(grid))
+        assert np.allclose(quats, read_off, rtol=0.0, atol=1e-15)
+
     def test_grid_path_matches_trace_rule(self, rng):
         # 10 configs x 100 candidate rows = 1000 seeded profiles, spread over
         # all three deviating players
@@ -81,7 +131,7 @@ class TestBatchedKernel:
             player = trial % 3
             candidates = np.array([random_params(rng).as_tuple() for _ in range(100)])
             others = (random_params(rng), random_params(rng))
-            batched = _batched_payoffs(player, candidates, others, config)
+            batched = _batched_payoffs(player, quaternions_of(candidates), others, config)
             for row, got in zip(candidates, batched):
                 profile = [p.as_tuple() for p in others]
                 profile.insert(player, tuple(row))
@@ -92,6 +142,75 @@ class TestBatchedKernel:
         assert pts.shape == (SMALL_GRID.size(), 3)
         rows = [tuple(p) for p in pts]
         assert rows == sorted(set(rows))
+
+    def test_refined_grid_takes_four_small_kernel_calls(self, monkeypatch):
+        rows = []
+        kernel = qpd3.game.outcome_probabilities
+
+        def counting(*args):
+            probs = kernel(*args)
+            rows.append(len(probs))
+            return probs
+
+        monkeypatch.setattr(qpd3.game, "outcome_probabilities", counting)
+        monkeypatch.setattr(qpd3.equilibrium, "outcome_probabilities", counting)
+        profile = Profile(defect(), cooperate(), cooperate())
+        verify_nash(profile, GameConfig(0.3, 0.7), GridSpec().refined())
+        assert len(rows) == 4
+        assert max(rows) <= 10
+
+    def test_unbalanced_probabilities_are_rejected(self, monkeypatch):
+        # off by 1e-9 in one outcome: the kernel's own row check never sees it
+        kernel = qpd3.equilibrium.outcome_probabilities
+
+        def perturbed(*args):
+            probs = kernel(*args)
+            probs[:, 3] += 1e-9
+            return probs
+
+        monkeypatch.setattr(qpd3.equilibrium, "outcome_probabilities", perturbed)
+        profile = Profile(defect(), cooperate(), cooperate())
+        with pytest.raises(ValueError, match="beyond"):
+            verify_nash(profile, GameConfig(0.3, 0.7), SMALL_GRID)
+
+
+class TestExactCrossCheck:
+    """The form's top eigenvalue is the best payoff over all of SU(2)."""
+
+    def test_grid_gap_never_exceeds_exact_gap(self, rng):
+        for _ in range(40):
+            profile = Profile(*(random_params(rng) for _ in range(3)))
+            config = random_config(rng)
+            grid_gaps = verify_nash(profile, config, GridSpec()).gaps
+            for grid_gap, exact in zip(grid_gaps, exact_gaps(profile, config)):
+                assert grid_gap <= exact + 1e-12
+
+    def test_top_eigenvalue_within_column_maximum(self, rng):
+        for trial in range(40):
+            config = random_config(rng)
+            player = trial % 3
+            others = (random_params(rng), random_params(rng))
+            top = np.linalg.eigvalsh(_payoff_form(player, others, config)).max()
+            assert top <= DEFAULT_PAYOFF_TABLE.column(player).max() + 1e-12
+
+    def test_exact_gaps_equal_grid_gaps_at_stated_profiles(self, scan):
+        expected = {
+            ("PP", math.pi): (0.0, 0.0, 0.0),
+            ("PE", 0.0): (0.5, 0.5, 0.5),
+            ("EP", 0.0): (0.5, 0.5, 0.5),
+            ("EE", 0.0): (2.0, 2.0, 2.0),
+            ("PE", HALF_PI): (0.0, 1.75, 0.0),
+            ("EP", HALF_PI): (0.25, 0.25, 0.25),
+        }
+        reports = scan.reports + scan.secondary
+        assert {(r.case, r.profile.pa.theta) for r in reports} == set(expected)
+        for report in reports:
+            config = GameConfig(*qpd3.REGIMES[report.case])
+            exact = exact_gaps(report.profile, config)
+            assert exact == pytest.approx(report.gaps, rel=0.0, abs=1e-12)
+            assert exact == pytest.approx(
+                expected[report.case, report.profile.pa.theta], rel=0.0, abs=1e-12
+            )
 
 
 class TestBestResponse:

@@ -373,6 +373,13 @@ class TestConfigAndTable:
     def test_default_table_is_shared(self):
         assert GameConfig(0, 0).payoffs is DEFAULT_PAYOFF_TABLE
 
+    def test_columns_are_stored_read_only(self):
+        # every caller shares the default table's columns, so none may write
+        column = DEFAULT_PAYOFF_TABLE.column("B")
+        with pytest.raises(ValueError):
+            column[0] = 9.0
+        assert column.tolist() == [3, 2, 5, 4, 2, 0, 4, 1]
+
     def test_table_requires_all_outcomes(self):
         mapping = DEFAULT_PAYOFF_TABLE.as_mapping()
         del mapping["111"]
