@@ -15,8 +15,8 @@ from qpd3 import (
     OUTCOMES,
     StrategyParams,
     expected_payoffs,
-    outcome_distribution,
-    strategy_unitary,
+    moves,
+    outcome_probabilities,
 )
 
 HALF_PI = math.pi / 2
@@ -27,8 +27,10 @@ DEFECT = StrategyParams(math.pi, 0.0, HALF_PI)
 
 def show(config, pa, pb, pc, label):
     payoff = expected_payoffs(config, pa, pb, pc)
-    dist = outcome_distribution(config, pa, pb, pc)
-    support = {o: round(dist[o], 4) for o in OUTCOMES if dist[o] > 1e-12}
+    probs = outcome_probabilities(
+        config.gamma, config.delta, pa.as_tuple(), pb.as_tuple(), pc.as_tuple()
+    )[0]
+    support = {o: round(p, 4) for o, p in zip(OUTCOMES, probs.tolist()) if p > 1e-12}
     print(f"  {label:<34} payoffs = {tuple(round(x, 4) for x in payoff.as_tuple())}")
     print(f"  {'':<34} outcome weights = {support}")
 
@@ -40,7 +42,7 @@ def main():
 
     print("\nA move is cos(theta/2) R(alpha) + sin(theta/2) P(beta); at the")
     print("defect corner theta = pi the matrix is a phase-twisted bit flip:")
-    print(strategy_unitary(StrategyParams(math.pi, math.pi, math.pi)).round(3))
+    print(moves((math.pi, math.pi, math.pi)).round(3))
 
     print("\n--- classical corner: gamma = delta = 0 ---")
     classical = GameConfig(0.0, 0.0)

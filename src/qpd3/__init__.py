@@ -16,20 +16,13 @@ from .game import (
     PLAYERS,
     REGIMES,
     GameConfig,
-    OutcomeDistribution,
     PayoffTable,
     PayoffTriple,
     StrategyParams,
-    classical_payoff,
     expected_payoffs,
-    initial_state,
     measurement_basis,
-    measurement_projectors,
     moves,
-    outcome_distribution,
     outcome_probabilities,
-    payoff_operator,
-    strategy_unitary,
 )
 from .closedform import (
     ClosedFormTerms,
@@ -73,10 +66,8 @@ __all__ = [
     "__version__",
     # game
     "OUTCOMES", "PLAYERS", "REGIMES", "StrategyParams", "PayoffTriple", "PayoffTable",
-    "DEFAULT_PAYOFF_TABLE", "GameConfig", "OutcomeDistribution",
-    "initial_state", "moves", "strategy_unitary", "measurement_basis",
-    "measurement_projectors", "payoff_operator", "outcome_probabilities",
-    "outcome_distribution", "expected_payoffs", "classical_payoff",
+    "DEFAULT_PAYOFF_TABLE", "GameConfig", "moves", "measurement_basis",
+    "outcome_probabilities", "expected_payoffs",
     # closedform
     "ClosedFormTerms", "ComparisonReport", "closed_form_payoffs",
     "max_entanglement_payoffs", "compare_to_oracle", "sample_any",

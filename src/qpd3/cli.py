@@ -61,10 +61,7 @@ from .game import (
     GameConfig,
     PayoffTable,
     StrategyParams,
-    expected_payoffs,
     measurement_basis,
-    measurement_projectors,
-    outcome_distribution,
     outcome_probabilities,
 )
 
@@ -90,7 +87,10 @@ def parse_angle(text: str) -> float:
         den = Fraction(m.group("den")) if m.group("den") else Fraction(1)
         if den == 0:
             raise UsageError(f"zero denominator in angle {text!r}")
-        value = float(num / den) * math.pi
+        try:
+            value = float(num / den) * math.pi
+        except OverflowError:
+            raise UsageError(f"angle {text!r} is beyond float range") from None
         return -value if m.group("sign") == "-" else value
     try:
         return float(text)
@@ -176,7 +176,7 @@ def _emit(args, payload: str) -> None:
 
 
 def _fmt_triple(triple) -> str:
-    return "(" + ", ".join(f"{x:.10g}" for x in triple.as_tuple()) + ")"
+    return "(" + ", ".join(f"{x:.10g}" for x in triple) + ")"
 
 
 def _table_for(args) -> PayoffTable:
@@ -192,8 +192,10 @@ def _table_for(args) -> PayoffTable:
 def cmd_payoff(args) -> int:
     config = GameConfig(parse_angle(args.gamma), parse_angle(args.delta), _table_for(args))
     profile = (parse_params(args.alice), parse_params(args.bob), parse_params(args.charlie))
-    triple = expected_payoffs(config, *profile)
-    dist = outcome_distribution(config, *profile)
+    probs = outcome_probabilities(
+        config.gamma, config.delta, *(p.as_tuple() for p in profile)
+    )[0]
+    payoffs = [float(probs @ config.payoffs.column(k)) for k in range(3)]
     doc = _report_doc(
         inputs={
             "command": "payoff",
@@ -204,14 +206,14 @@ def cmd_payoff(args) -> int:
             "charlie": list(profile[2].as_tuple()),
         },
         results={
-            "payoffs": list(triple.as_tuple()),
-            "outcome_probabilities": {o: dist[o] for o in OUTCOMES},
+            "payoffs": payoffs,
+            "outcome_probabilities": dict(zip(OUTCOMES, probs.tolist())),
         },
     )
     if args.out:
         _emit(args, render_json(doc))
     else:
-        sys.stdout.write(_fmt_triple(triple) + "\n")
+        sys.stdout.write(_fmt_triple(payoffs) + "\n")
     return 0
 
 
@@ -469,7 +471,7 @@ def build_verify_bundle(seed: int) -> tuple[dict, list]:
         basis = np.stack(measurement_basis(float(delta)))
         gram = basis.conj() @ basis.T
         worst_gram = max(worst_gram, float(np.max(np.abs(gram - np.eye(8)))))
-        proj_sum = sum(measurement_projectors(float(delta)))
+        proj_sum = sum(np.outer(v, v.conj()) for v in basis)
         worst_sum = max(worst_sum, float(np.max(np.abs(proj_sum - np.eye(8)))))
     results["basis_completeness"] = _check(
         "basis_completeness",

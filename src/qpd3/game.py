@@ -13,9 +13,12 @@ payoff-table entry.  The initial state is pure and every move is unitary, so
 form.
 
 ``outcome_probabilities`` is the one place the rule is evaluated, for a single
-profile or a batch of them.  ``expected_payoffs`` wraps it for one profile and
-is the package-wide oracle: every closed-form expression, protocol table and
-equilibrium scan elsewhere in the package is validated against it.
+profile or a batch of them; the initial state and the basis signs are built
+into it.  ``moves`` gives the players' 2x2 matrices and ``measurement_basis``
+the arbiter's vectors, for checks.  ``expected_payoffs`` wraps the kernel for
+one profile and is the package-wide oracle: every closed-form expression,
+protocol table and equilibrium scan elsewhere in the package is validated
+against it.
 """
 
 from __future__ import annotations
@@ -64,7 +67,10 @@ _CLASSIC_ENTRIES = {
 
 
 def _check_finite(name: str, value: float) -> float:
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got a number beyond float range") from None
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
@@ -139,7 +145,7 @@ class PayoffTable:
         if len(self.entries) != len(OUTCOMES):
             raise ValueError(f"payoff table needs exactly {len(OUTCOMES)} outcome rows")
         clean = tuple(
-            tuple(_check_finite(f"payoff[{OUTCOMES[i]}][{k}]", x) for k, x in enumerate(row))
+            tuple(_check_finite(f"payoff[{OUTCOMES[i]!r}][{k}]", x) for k, x in enumerate(row))
             for i, row in enumerate(self.entries)
         )
         if any(len(row) != 3 for row in clean):
@@ -164,10 +170,7 @@ class PayoffTable:
                 and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in row)
             ):
                 raise ValueError(f"payoff row {o!r} must be a list of 3 real numbers, got {row!r}")
-        return cls(tuple(tuple(float(x) for x in mapping[o]) for o in OUTCOMES))
-
-    def triple(self, outcome: str) -> tuple[float, float, float]:
-        return self.entries[OUTCOMES.index(outcome)]
+        return cls(tuple(tuple(mapping[o]) for o in OUTCOMES))
 
     def column(self, player) -> np.ndarray:
         """All 8 payoffs of one player, in basis order (a read-only view)."""
@@ -175,10 +178,6 @@ class PayoffTable:
 
     def as_mapping(self) -> dict[str, list[float]]:
         return {o: list(row) for o, row in zip(OUTCOMES, self.entries)}
-
-    def bounds(self) -> tuple[float, float]:
-        flat = [x for row in self.entries for x in row]
-        return (min(flat), max(flat))
 
 
 #: The classic table; every function that takes a table defaults to it.
@@ -202,28 +201,6 @@ class GameConfig:
         object.__setattr__(self, "delta", _check_range("delta", self.delta, 0.0, math.pi / 2))
 
 
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    """Born-rule probabilities over the 8 measurement outcomes."""
-
-    probs: dict[str, float]
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.probs[o] for o in OUTCOMES], dtype=float)
-
-    def __getitem__(self, outcome: str) -> float:
-        return self.probs[outcome]
-
-
-def initial_state(gamma: float) -> np.ndarray:
-    """Shared initial state ``cos(gamma/2)|000> + i sin(gamma/2)|111>``."""
-    gamma = _check_range("gamma", gamma, 0.0, math.pi / 2)
-    psi = np.zeros(8, dtype=complex)
-    psi[0] = math.cos(gamma / 2)
-    psi[7] = 1j * math.sin(gamma / 2)
-    return psi
-
-
 def moves(params) -> np.ndarray:
     """Single-qubit moves for ``params[..., (theta, alpha, beta)]``, shape ``(..., 2, 2)``.
 
@@ -243,11 +220,6 @@ def moves(params) -> np.ndarray:
     u[..., 0, 1] = s * np.exp(1j * (math.pi / 2 + beta))
     u[..., 1, 0] = s * np.exp(1j * (math.pi / 2 - beta))
     return u
-
-
-def strategy_unitary(p: StrategyParams) -> np.ndarray:
-    """Single-qubit move for one player; see :func:`moves`."""
-    return moves(p.as_tuple())
 
 
 # Outcomes whose basis vector carries +i sin(delta/2) on the partner label;
@@ -274,23 +246,6 @@ def measurement_basis(delta: float) -> list[np.ndarray]:
         v[7 - b] += _SIGNS[b] * 1j * s
         basis.append(v)
     return basis
-
-
-def measurement_projectors(delta: float) -> list[np.ndarray]:
-    """Rank-1 projectors onto the measurement basis, indexed by outcome."""
-    return [np.outer(v, v.conj()) for v in measurement_basis(delta)]
-
-
-def payoff_operator(delta: float, player, table: PayoffTable = DEFAULT_PAYOFF_TABLE) -> np.ndarray:
-    """Hermitian payoff operator ``sum_lmn payoff[lmn] |psi_lmn><psi_lmn|``.
-
-    Its spectrum is exactly the player's 8 table payoffs for every ``delta``.
-    """
-    dollars = table.column(player)
-    op = np.zeros((8, 8), dtype=complex)
-    for value, proj in zip(dollars, measurement_projectors(delta)):
-        op += value * proj
-    return op
 
 
 # Range of (theta, alpha, beta), as StrategyParams enforces it.
@@ -365,16 +320,6 @@ def outcome_probabilities(gamma, delta, pa, pb, pc) -> np.ndarray:
     return probs
 
 
-def outcome_distribution(
-    config: GameConfig, pa: StrategyParams, pb: StrategyParams, pc: StrategyParams
-) -> OutcomeDistribution:
-    """Born-rule outcome probabilities ``<psi_lmn| rho_f |psi_lmn>`` for one profile."""
-    probs = outcome_probabilities(
-        config.gamma, config.delta, pa.as_tuple(), pb.as_tuple(), pc.as_tuple()
-    )
-    return OutcomeDistribution(dict(zip(OUTCOMES, probs[0].tolist())))
-
-
 def expected_payoffs(
     config: GameConfig, pa: StrategyParams, pb: StrategyParams, pc: StrategyParams
 ) -> PayoffTriple:
@@ -384,18 +329,3 @@ def expected_payoffs(
     )
     return PayoffTriple(*(float(probs[0] @ config.payoffs.column(k)) for k in range(3)))
 
-
-def classical_payoff(
-    table: PayoffTable, defect_probs: tuple[float, float, float]
-) -> PayoffTriple:
-    """Expected payoffs when each player independently defects with the given
-    probability (the multilinear mixing of the classical game)."""
-    qs = [_check_range(f"defect_probs[{i}]", q, 0.0, 1.0) for i, q in enumerate(defect_probs)]
-    totals = np.zeros(3)
-    for b, outcome in enumerate(OUTCOMES):
-        weight = 1.0
-        for pos, q in enumerate(qs):
-            bit = (b >> (2 - pos)) & 1
-            weight *= q if bit else (1.0 - q)
-        totals += weight * np.array(table.entries[b])
-    return PayoffTriple(*totals.tolist())

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from qpd3 import GameConfig, StrategyParams, initial_state, measurement_basis
+from qpd3 import GameConfig, PayoffTriple, StrategyParams, measurement_basis
 
 
 @pytest.fixture
@@ -37,14 +37,30 @@ def trace_rule_payoffs(config: GameConfig, pa, pb, pc) -> tuple[float, float, fl
     """Reference payoffs from the density-matrix trace rule ``<psi_lmn| rho_f |psi_lmn>``.
 
     Each player is a ``(theta, alpha, beta)`` triple.  Shares no code with the
-    package's kernel beyond the initial state and the measurement basis.
+    package's kernel: it builds its own moves and initial state, and takes the
+    measurement vectors from ``measurement_basis``, which the kernel never calls.
     """
     u = np.kron(np.kron(_move(*pa), _move(*pb)), _move(*pc))
-    psi0 = initial_state(config.gamma)
+    # cos(gamma/2)|000> + i sin(gamma/2)|111>
+    psi0 = np.zeros(8, dtype=complex)
+    psi0[0] = math.cos(config.gamma / 2)
+    psi0[7] = 1j * math.sin(config.gamma / 2)
     rho_f = u @ np.outer(psi0, psi0.conj()) @ u.conj().T
     assert abs(np.trace(rho_f) - 1.0) < 1e-12
     probs = np.array([np.vdot(v, rho_f @ v).real for v in measurement_basis(config.delta)])
     return tuple(float(probs @ config.payoffs.column(k)) for k in range(3))
+
+
+def classical_payoff(table, defect_probs) -> PayoffTriple:
+    """Expected payoffs when each player independently defects with the given
+    probability (the multilinear mixing of the classical game)."""
+    totals = np.zeros(3)
+    for b, row in enumerate(table.entries):
+        weight = 1.0
+        for pos, q in enumerate(defect_probs):
+            weight *= q if (b >> (2 - pos)) & 1 else 1.0 - q
+        totals += weight * np.array(row)
+    return PayoffTriple(*totals.tolist())
 
 
 # Printed reference protocol tables, re-keyed here independently of the

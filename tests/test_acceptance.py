@@ -31,9 +31,8 @@ from qpd3 import (
     info_relation_report,
     information_bits,
     measurement_basis,
-    measurement_projectors,
     oracle_regime_tables,
-    outcome_distribution,
+    outcome_probabilities,
     sample_any,
     sample_classical_limit,
     verify_nash,
@@ -55,8 +54,7 @@ def test_criterion_01_classical_limit():
     config = GameConfig(0.0, 0.0)
     worst = 0.0
     for bits in range(8):
-        outcome = format(bits, "03b")
-        want = DEFAULT_PAYOFF_TABLE.triple(outcome)
+        want = DEFAULT_PAYOFF_TABLE.entries[bits]
         for _ in range(10):
             profile = [
                 StrategyParams(
@@ -107,7 +105,7 @@ def test_criterion_04_measurement_basis_complete():
     for delta in np.linspace(0.0, HALF_PI, 50):
         basis = np.stack(measurement_basis(float(delta)))
         worst_gram = max(worst_gram, float(np.max(np.abs(basis.conj() @ basis.T - np.eye(8)))))
-        total = sum(measurement_projectors(float(delta)))
+        total = sum(np.outer(v, v.conj()) for v in basis)
         worst_sum = max(worst_sum, float(np.max(np.abs(total - np.eye(8)))))
     assert worst_gram <= 1e-12
     assert worst_sum <= 1e-12
@@ -130,7 +128,9 @@ def test_criterion_05_born_conservation():
             )
             for _ in range(3)
         ]
-        total = outcome_distribution(config, *profile).as_array().sum()
+        total = outcome_probabilities(
+            config.gamma, config.delta, *(p.as_tuple() for p in profile)
+        ).sum()
         worst = max(worst, abs(total - 1.0))
     assert worst <= 1e-12
     report(f"[PASS] criterion 5: Born-rule conservation over 1000 draws (max {worst:.2e})")

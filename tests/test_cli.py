@@ -44,7 +44,13 @@ class TestAngleParsing:
     def test_accepted_forms(self, text, value):
         assert parse_angle(text) == pytest.approx(value, abs=1e-15)
 
-    @pytest.mark.parametrize("text", ["", "twopi", "pi/0", "1,2", "pie"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "", "twopi", "pi/0", "1,2", "pie",
+            pytest.param("1" + "0" * 400 + "pi", id="beyond-float"),
+        ],
+    )
     def test_rejected_forms(self, text):
         with pytest.raises(UsageError):
             parse_angle(text)
@@ -113,6 +119,16 @@ class TestPayoffCommand:
         assert doc["results"]["payoffs"] == [3, 3, 3]
         assert doc["fixtures-compared"] == {}
         assert doc["discrepancies"] == []
+
+    def test_report_takes_one_kernel_call(self, monkeypatch, tmp_path):
+        # payoffs and outcome probabilities come from the same kernel call
+        spy = mock.Mock(wraps=qpd3.game.moves)
+        monkeypatch.setattr(qpd3.game, "moves", spy)
+        rc = main(["payoff", "--gamma", "pi/3", "--delta", "0.7",
+                   "--alice", "pi/2,0.3,-1", "--bob", "1,2,3", "--charlie", "pi,pi,-pi",
+                   "--out", str(tmp_path / "payoff.json")])
+        assert rc == 0
+        assert spy.call_count == 1
 
     def test_format_belongs_to_table_only(self, tmp_path):
         out = tmp_path / "payoff.csv"
@@ -252,7 +268,9 @@ class TestPayoffTableFile:
             load_payoff_table(str(table_file))
 
     @pytest.mark.parametrize(
-        "row", [3, None, [[1], 2, 3], "123"], ids=["number", "null", "nested", "string"]
+        "row",
+        [3, None, [[1], 2, 3], "123", [10**400, 1, 1]],
+        ids=["number", "null", "nested", "string", "beyond-float"],
     )
     def test_malformed_row_exits_with_message(self, tmp_path, capsys, row):
         entries = {format(b, "03b"): [1.0, 1.0, 1.0] for b in range(8)}
@@ -339,19 +357,14 @@ class TestVerify:
 
     def test_kernel_calls_per_bundle(self, monkeypatch):
         # The kernel evaluates moves once per call, so counting moves counts
-        # kernel calls; strategy_unitary would call moves too, and must not run.
-        spies = {
-            name: mock.Mock(wraps=getattr(qpd3.game, name))
-            for name in ("moves", "strategy_unitary")
-        }
-        for name, spy in spies.items():
-            monkeypatch.setattr(qpd3.game, name, spy)
+        # kernel calls.
+        spy = mock.Mock(wraps=qpd3.game.moves)
+        monkeypatch.setattr(qpd3.game, "moves", spy)
         build_verify_bundle(DEFAULT_SEED)
         # 1 classical-limit batch, 1 Born-conservation batch, 4 protocol
         # tables, 6 certificates x 4 calls, and 2 x 1000 closed-form samples
         # checked one oracle call each.
-        assert spies["moves"].call_count == 2030
-        assert spies["strategy_unitary"].call_count == 0
+        assert spy.call_count == 2030
 
     def test_default_seed_constant(self):
         assert isinstance(DEFAULT_SEED, int)

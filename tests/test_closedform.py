@@ -7,7 +7,6 @@ from qpd3 import (
     ClosedFormTerms,
     GameConfig,
     StrategyParams,
-    classical_payoff,
     closed_form_payoffs,
     compare_to_oracle,
     expected_payoffs,
@@ -18,7 +17,7 @@ from qpd3 import (
 )
 from qpd3.game import DEFAULT_PAYOFF_TABLE
 
-from conftest import random_params
+from conftest import classical_payoff, random_params
 
 HALF_PI = math.pi / 2
 

@@ -14,20 +14,16 @@ from qpd3 import (
     GameConfig,
     PayoffTable,
     StrategyParams,
-    classical_payoff,
     expected_payoffs,
-    initial_state,
     measurement_basis,
-    measurement_projectors,
-    outcome_distribution,
+    moves,
     outcome_probabilities,
-    payoff_operator,
-    strategy_unitary,
 )
 
-from conftest import random_config, random_params, trace_rule_payoffs
+from conftest import classical_payoff, random_config, random_params, trace_rule_payoffs
 
 HALF_PI = math.pi / 2
+IDENTITY = (0.0, 0.0, 0.0)
 
 
 def basis8(index):
@@ -37,48 +33,63 @@ def basis8(index):
 
 
 class TestInitialState:
+    """The kernel's initial state, read through identity moves."""
+
     def test_product_corner(self):
-        assert np.array_equal(initial_state(0.0), basis8(0))
+        probs = outcome_probabilities(0.0, 0.0, *(IDENTITY,) * 3)[0]
+        assert np.array_equal(probs, np.abs(basis8(0)) ** 2)
 
     def test_maximally_entangled(self):
-        want = (basis8(0) + 1j * basis8(7)) / math.sqrt(2)
-        assert np.allclose(initial_state(HALF_PI), want, atol=1e-15)
+        # weights 1/2 on |000> and |111>; the relative phase i makes the
+        # state the entangled basis vector of outcome 000
+        probs = outcome_probabilities(HALF_PI, 0.0, *(IDENTITY,) * 3)[0]
+        want = np.abs(basis8(0) + basis8(7)) ** 2 / 2
+        assert np.allclose(probs, want, atol=1e-15)
+        probs = outcome_probabilities(HALF_PI, HALF_PI, *(IDENTITY,) * 3)[0]
+        assert np.allclose(probs, np.abs(basis8(0)) ** 2, atol=1e-15)
 
     def test_normalized_across_range(self, rng):
-        for gamma in rng.uniform(0.0, HALF_PI, size=50):
-            psi = initial_state(float(gamma))
-            assert abs(np.vdot(psi, psi).real - 1.0) < 1e-12
+        gammas = rng.uniform(0.0, HALF_PI, size=50)
+        probs = outcome_probabilities(gammas, 0.0, *(IDENTITY,) * 3)
+        assert np.max(np.abs(probs[:, 0] - np.cos(gammas / 2) ** 2)) < 1e-12
+        assert np.max(np.abs(probs[:, 7] - np.sin(gammas / 2) ** 2)) < 1e-12
+        assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-12
 
     @pytest.mark.parametrize("gamma", [-0.1, HALF_PI + 0.1, math.nan])
     def test_rejects_out_of_range(self, gamma):
         with pytest.raises(ValueError):
-            initial_state(gamma)
+            outcome_probabilities(gamma, 0.0, *(IDENTITY,) * 3)
 
 
 class TestStrategyUnitary:
     def test_identity_at_origin(self):
-        assert np.allclose(strategy_unitary(StrategyParams(0, 0, 0)), np.eye(2), atol=1e-15)
+        assert np.allclose(moves(IDENTITY), np.eye(2), atol=1e-15)
 
     def test_full_defect_with_pi_phases(self):
         # hand evaluation at theta=beta=pi: |0> -> -i|1>, |1> -> -i|0>
-        u = strategy_unitary(StrategyParams(math.pi, math.pi, math.pi))
+        u = moves((math.pi, math.pi, math.pi))
         want = np.array([[0, -1j], [-1j, 0]])
         assert np.max(np.abs(u - want)) < 1e-12
 
     def test_balanced_superposition(self):
-        u = strategy_unitary(StrategyParams(HALF_PI, HALF_PI, HALF_PI))
+        u = moves((HALF_PI, HALF_PI, HALF_PI))
         got = u @ np.array([1.0, 0.0], dtype=complex)
         want = np.array([1j, 1.0]) / math.sqrt(2)
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_always_unitary(self, rng):
-        for _ in range(500):
-            u = strategy_unitary(random_params(rng))
-            assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-12
+        u = moves([random_params(rng).as_tuple() for _ in range(500)])
+        assert np.max(np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(2))) < 1e-12
 
     @pytest.mark.parametrize(
         "theta,alpha,beta",
-        [(-0.01, 0, 0), (math.pi + 0.01, 0, 0), (0, 3.5, 0), (0, 0, -3.5)],
+        [
+            (-0.01, 0, 0),
+            (math.pi + 0.01, 0, 0),
+            (0, 3.5, 0),
+            (0, 0, -3.5),
+            pytest.param(0, 10**400, 0, id="beyond-float"),
+        ],
     )
     def test_rejects_out_of_range(self, theta, alpha, beta):
         with pytest.raises(ValueError):
@@ -108,7 +119,7 @@ class TestMeasurementBasis:
 
     def test_projectors_complete(self):
         for delta in np.linspace(0.0, HALF_PI, 50):
-            total = sum(measurement_projectors(float(delta)))
+            total = sum(np.outer(v, v.conj()) for v in measurement_basis(float(delta)))
             assert np.max(np.abs(total - np.eye(8))) < 1e-12
 
     def test_rejects_out_of_range(self):
@@ -116,55 +127,27 @@ class TestMeasurementBasis:
             measurement_basis(math.pi)
 
 
-class TestPayoffOperator:
-    def test_diagonal_in_product_basis(self):
-        op = payoff_operator(0.0, "A")
-        assert np.max(np.abs(op - np.diag([3, 2, 2, 0, 5, 4, 4, 1]))) < 1e-12
-
-    def test_trace_is_payoff_sum(self, rng):
-        for player in ("A", "B", "C"):
-            total = DEFAULT_PAYOFF_TABLE.column(player).sum()
-            for delta in rng.uniform(0.0, HALF_PI, size=10):
-                op = payoff_operator(float(delta), player)
-                assert abs(np.trace(op).real - total) < 1e-12
-
-    def test_spectrum_matches_table(self):
-        op = payoff_operator(HALF_PI, "A")
-        eigs = sorted(np.linalg.eigvalsh(op))
-        assert np.allclose(eigs, sorted([3, 2, 2, 0, 5, 4, 4, 1]), atol=1e-9)
-
-    def test_hermitian(self, rng):
-        for delta in rng.uniform(0.0, HALF_PI, size=10):
-            op = payoff_operator(float(delta), "B")
-            assert np.max(np.abs(op - op.conj().T)) < 1e-12
-
-
 class TestOutcomeDistribution:
     def test_all_cooperate_classical(self):
-        dist = outcome_distribution(
-            GameConfig(0, 0), *(StrategyParams(0, 0, 0) for _ in range(3))
-        )
-        assert dist["000"] == pytest.approx(1.0, abs=1e-12)
+        probs = outcome_probabilities(0.0, 0.0, *(IDENTITY,) * 3)[0]
+        assert probs[OUTCOMES.index("000")] == pytest.approx(1.0, abs=1e-12)
 
     def test_maximal_entanglement_forces_011(self):
         # hand-computed: Alice's flip plus the entangled basis put all weight
         # on outcome 011
-        dist = outcome_distribution(
-            GameConfig(HALF_PI, HALF_PI),
-            StrategyParams(math.pi, math.pi, math.pi),
-            StrategyParams(0, 0, HALF_PI),
-            StrategyParams(0, 0, HALF_PI),
-        )
-        assert dist["011"] == pytest.approx(1.0, abs=1e-12)
+        probs = outcome_probabilities(
+            HALF_PI, HALF_PI, (math.pi, math.pi, math.pi), (0, 0, HALF_PI), (0, 0, HALF_PI)
+        )[0]
+        assert probs[OUTCOMES.index("011")] == pytest.approx(1.0, abs=1e-12)
 
     def test_conservation_fuzz(self, rng):
-        for _ in range(1000):
-            dist = outcome_distribution(
-                random_config(rng), *(random_params(rng) for _ in range(3))
-            )
-            values = dist.as_array()
-            assert np.all(values >= 0.0)
-            assert abs(values.sum() - 1.0) < 1e-12
+        configs = [random_config(rng) for _ in range(1000)]
+        players = [[random_params(rng).as_tuple() for _ in range(1000)] for _ in range(3)]
+        probs = outcome_probabilities(
+            [c.gamma for c in configs], [c.delta for c in configs], *players
+        )
+        assert np.all(probs >= 0.0)
+        assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-12
 
 
 class TestExpectedPayoffs:
@@ -219,8 +202,7 @@ class TestExpectedPayoffs:
     def test_pure_strategies_reproduce_base_table(self, rng):
         config = GameConfig(0, 0)
         for bits in range(8):
-            outcome = format(bits, "03b")
-            want = DEFAULT_PAYOFF_TABLE.triple(outcome)
+            want = DEFAULT_PAYOFF_TABLE.entries[bits]
             for _ in range(10):
                 profile = [
                     StrategyParams(
@@ -236,7 +218,7 @@ class TestExpectedPayoffs:
                 ) < 1e-12
 
     def test_payoff_bounds(self, rng):
-        lo, hi = DEFAULT_PAYOFF_TABLE.bounds()
+        lo, hi = np.min(DEFAULT_PAYOFF_TABLE.entries), np.max(DEFAULT_PAYOFF_TABLE.entries)
         for _ in range(300):
             got = expected_payoffs(
                 random_config(rng), *(random_params(rng) for _ in range(3))
@@ -350,6 +332,8 @@ class TestOutcomeProbabilities:
 
 
 class TestClassicalPayoff:
+    """The test-side classical reference, at hand-checked points."""
+
     def test_corners(self):
         assert classical_payoff(DEFAULT_PAYOFF_TABLE, (0, 0, 0)).as_tuple() == (3, 3, 3)
         assert classical_payoff(DEFAULT_PAYOFF_TABLE, (1, 1, 1)).as_tuple() == (1, 1, 1)
@@ -358,10 +342,6 @@ class TestClassicalPayoff:
         got = classical_payoff(DEFAULT_PAYOFF_TABLE, (0.5, 0, 0))
         assert got.as_tuple() == pytest.approx((4, 2.5, 2.5), abs=1e-15)
 
-    def test_rejects_bad_probabilities(self):
-        with pytest.raises(ValueError):
-            classical_payoff(DEFAULT_PAYOFF_TABLE, (1.5, 0, 0))
-
 
 class TestConfigAndTable:
     def test_config_range_checks(self):
@@ -369,6 +349,8 @@ class TestConfigAndTable:
             GameConfig(-0.1, 0)
         with pytest.raises(ValueError):
             GameConfig(0, math.pi)
+        with pytest.raises(ValueError, match="beyond float range"):
+            GameConfig(10**400, 0)
 
     def test_default_table_is_shared(self):
         assert GameConfig(0, 0).payoffs is DEFAULT_PAYOFF_TABLE
@@ -409,3 +391,24 @@ def test_tolerances_are_named_once():
         if re.search(r"1e-(9|12)|round\(", line)
     }
     assert found == {("game.py", "ATOL = 1e-12"), ("game.py", "PAYOFF_TOL = 1e-9")}
+
+
+#: Every public name of the package; a new or removed export must update this.
+PUBLIC_NAMES = """
+    CODEWORDS COLUMNS ClosedFormTerms Codeword ComparisonReport DEFAULT_PAYOFF_TABLE
+    DecodeResult EquilibriumReport FourCaseScan GameConfig GridSpec InfoRelationReport
+    OUTCOMES ObservationModel PLAYERS PayoffTable PayoffTriple Profile ProtocolTable
+    REGIMES REGIME_FIXTURES StrategyParams __version__ best_response closed_form_payoffs
+    common_move compare_to_oracle decode expected_payoffs fixture_regime_tables
+    fixture_table four_case_scan info_relation_report information_bits
+    max_entanglement_payoffs measurement_basis moves oracle_regime_tables
+    outcome_probabilities protocol_table sample_any sample_classical_limit
+    sample_pure_moves verify_nash
+""".split()
+
+
+def test_public_surface_is_pinned():
+    assert sorted(qpd3.__all__) == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 44
+    for name in PUBLIC_NAMES:
+        getattr(qpd3, name)
