@@ -61,13 +61,13 @@ def main():
         transmit(oracle, bits, (0.0, 0.0))
 
     print("\n--- information carried per regime (worst case over moves) ---")
-    for source, tables in (("oracle", oracle_regime_tables()), ("published", fixture_regime_tables())):
+    for tables in (oracle_regime_tables(), fixture_regime_tables()):
         for visible in ("own", "bob-and-charlie", "full-triple"):
             model = ObservationModel(visible=visible)
-            rep = info_relation_report(tables, model, source=source)
+            rep = info_relation_report(tables, model)
             verdict = "holds" if rep.verdicts()["relation_holds"] else "fails"
             pretty = "  ".join(f"I_{k}={v:g}" for k, v in rep.values.items())
-            print(f"  {source:>9} / {visible:<15} {pretty}   {{PP=EE}}>{{PE=EP}} {verdict}")
+            print(f"  {rep.source:>9} / {visible:<15} {pretty}   {{PP=EE}}>{{PE=EP}} {verdict}")
 
     print("\nEvery regime here resolves the full two bits (the one exception is")
     print("the entangled/entangled oracle table if each receiver only sees his")

@@ -53,6 +53,9 @@ from .comms import (
 )
 from .equilibrium import GridSpec, Profile, four_case_scan, verify_nash
 from .game import (
+    _ANGLE_HI,
+    _PARAM_HI,
+    _PARAM_LO,
     ATOL,
     DEFAULT_PAYOFF_TABLE,
     OUTCOMES,
@@ -219,23 +222,22 @@ def cmd_payoff(args) -> int:
 
 def _table_fixture_diff(oracle: ProtocolTable, fixture: ProtocolTable):
     """Per-entry deltas between an oracle table and a published fixture."""
+    deltas = oracle.payoffs - fixture.payoffs
     compared = []
     discrepancies = []
     for i, cw in enumerate(CODEWORDS):
         for j, col in enumerate(COLUMNS):
-            got = oracle.entry(i, j).as_tuple()
-            want = fixture.entry(i, j).as_tuple()
-            delta = [g - w for g, w in zip(got, want)]
+            delta = deltas[i, j].tolist()
             compared.append(
                 {
                     "codeword": cw.bits,
                     "column": list(col),
-                    "oracle": list(got),
-                    "published": list(want),
+                    "oracle": oracle.payoffs[i, j].tolist(),
+                    "published": fixture.payoffs[i, j].tolist(),
                     "delta": delta,
                 }
             )
-            if max(abs(d) for d in delta) > PAYOFF_TOL:
+            if (np.abs(deltas[i, j]) > PAYOFF_TOL).any():
                 discrepancies.append(
                     {
                         "what": f"oracle vs {fixture.label}",
@@ -401,8 +403,7 @@ def cmd_comm_decode(args) -> int:
     alice_payoffs = {}
     col = table.column_index(common)
     for cw in result.candidates:
-        row = [c.bits for c in CODEWORDS].index(cw.bits)
-        alice_payoffs[cw.bits] = table.entry(row, col).alice
+        alice_payoffs[cw.bits] = table.entry(CODEWORDS.index(cw), col).alice
 
     doc = _report_doc(
         inputs={
@@ -457,7 +458,7 @@ def build_verify_bundle(seed: int) -> tuple[dict, list]:
     defects = (bits[:, None] >> np.array([2, 1, 0])) & 1
     profiles = np.empty((80, 3, 3))
     profiles[..., 0] = math.pi * defects
-    profiles[..., 1:] = rng.uniform(-math.pi, math.pi, size=(80, 3, 2))
+    profiles[..., 1:] = rng.uniform(_PARAM_LO[1:], _PARAM_HI[1:], size=(80, 3, 2))
     probs = outcome_probabilities(0.0, 0.0, *profiles.transpose(1, 0, 2))
     entries = np.array(table.entries)
     worst = float(np.max(np.abs(probs @ entries - entries[bits])))
@@ -483,8 +484,8 @@ def build_verify_bundle(seed: int) -> tuple[dict, list]:
     # Born conservation over seeded random draws: per row gamma, delta, then
     # (theta, alpha, beta) per player.  The kernel itself raises once a row
     # misses 1 by more than ATOL, so that error is this check's failure.
-    lo = [0.0, 0.0] + [0.0, -math.pi, -math.pi] * 3
-    hi = [math.pi / 2] * 2 + [math.pi, math.pi, math.pi] * 3
+    lo = np.concatenate([[0.0, 0.0], np.tile(_PARAM_LO, 3)])
+    hi = np.concatenate([[_ANGLE_HI, _ANGLE_HI], np.tile(_PARAM_HI, 3)])
     draws = rng.uniform(lo, hi, size=(1000, 11))
     players = draws[:, 2:].reshape(-1, 3, 3).transpose(1, 0, 2)
     try:
@@ -582,8 +583,8 @@ def build_verify_bundle(seed: int) -> tuple[dict, list]:
     table2_full = None
     for visible in ("own", "bob-and-charlie", "full-triple"):
         m = ObservationModel(visible=visible)
-        oracle_rep = info_relation_report(oracle_tables, m, source="oracle")
-        fixture_rep = info_relation_report(fixture_regime_tables(), m, source="published")
+        oracle_rep = info_relation_report(oracle_tables, m)
+        fixture_rep = info_relation_report(fixture_regime_tables(), m)
         info_records.append(oracle_rep.to_record())
         info_records.append(fixture_rep.to_record())
         if visible == "full-triple":

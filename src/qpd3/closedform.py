@@ -19,6 +19,8 @@ from typing import Callable
 import numpy as np
 
 from .game import (
+    _ANGLE_HI,
+    _PARAM_BOX,
     ATOL,
     OUTCOMES,
     GameConfig,
@@ -263,17 +265,14 @@ class ComparisonReport:
         }
 
 
+# Scalar draws: one vector draw gives the same stream but costs more per sample.
 def _random_params(rng: np.random.Generator) -> StrategyParams:
-    return StrategyParams(
-        theta=rng.uniform(0.0, math.pi),
-        alpha=rng.uniform(-math.pi, math.pi),
-        beta=rng.uniform(-math.pi, math.pi),
-    )
+    return StrategyParams(*(rng.uniform(lo, hi) for lo, hi in _PARAM_BOX.values()))
 
 
 def sample_any(rng: np.random.Generator):
     """Uniform draw over the full (gamma, delta, three-profile) space."""
-    config = GameConfig(rng.uniform(0.0, math.pi / 2), rng.uniform(0.0, math.pi / 2))
+    config = GameConfig(rng.uniform(0.0, _ANGLE_HI), rng.uniform(0.0, _ANGLE_HI))
     return config, (_random_params(rng), _random_params(rng), _random_params(rng))
 
 
@@ -285,14 +284,11 @@ def sample_classical_limit(rng: np.random.Generator):
 
 def sample_pure_moves(rng: np.random.Generator):
     """Random entanglement and phases but pure moves theta in {0, pi}."""
-    config = GameConfig(rng.uniform(0.0, math.pi / 2), rng.uniform(0.0, math.pi / 2))
+    config = GameConfig(rng.uniform(0.0, _ANGLE_HI), rng.uniform(0.0, _ANGLE_HI))
 
     def pure() -> StrategyParams:
-        return StrategyParams(
-            theta=float(rng.choice((0.0, math.pi))),
-            alpha=rng.uniform(-math.pi, math.pi),
-            beta=rng.uniform(-math.pi, math.pi),
-        )
+        theta = float(rng.choice((0.0, math.pi)))
+        return StrategyParams(theta, *(rng.uniform(*_PARAM_BOX[a]) for a in ("alpha", "beta")))
 
     return config, (pure(), pure(), pure())
 

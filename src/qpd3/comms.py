@@ -4,10 +4,11 @@ Alice encodes two classical bits by choosing one of four agreed unitaries.
 Bob and Charlie are restricted to the phase convention alpha = 0,
 beta = pi/2 and to theta in {0, pi}, and agree beforehand to play a common
 move.  After the arbiter announces payoffs, they look their observed payoffs
-up in the protocol's 4x4 table (codeword rows x move-pair columns) to
-recover Alice's codeword: dense-coding-like signaling where the strategy
-itself is the carrier.  Decoding and the information metric share one rule:
-an observation matches an entry when each visible payoff is within ``PAYOFF_TOL``.
+up in the protocol table, one ``(4, 4, 3)`` array of payoffs by codeword,
+move-pair column and player, to recover Alice's codeword: dense-coding-like
+signaling where the strategy itself is the carrier.  Decoding and the
+information metric read that array through one rule, ``_matches``: an
+observation matches an entry when each visible payoff is within ``PAYOFF_TOL``.
 
 Tables come in two provenances: ``oracle`` tables computed by the trace
 rule, and ``published`` fixtures reproducing the corresponding printed
@@ -64,7 +65,8 @@ CODEWORDS = (
     Codeword("11", StrategyParams(math.pi, math.pi, math.pi)),
 )
 
-_VISIBILITIES = ("own", "bob-and-charlie", "full-triple")
+#: Player indices each ``ObservationModel.visible`` name shows.
+_VISIBLE = {"own": (1,), "bob-and-charlie": (1, 2), "full-triple": (0, 1, 2)}
 
 
 @dataclass(frozen=True)
@@ -81,39 +83,44 @@ class ObservationModel:
     visible: str = "bob-and-charlie"
 
     def __post_init__(self):
-        if self.visible not in _VISIBILITIES:
-            raise ValueError(f"visible must be one of {_VISIBILITIES}, got {self.visible!r}")
+        if self.visible not in _VISIBLE:
+            raise ValueError(f"visible must be one of {tuple(_VISIBLE)}, got {self.visible!r}")
 
     def components(self, triple: PayoffTriple) -> tuple[float, ...]:
-        if self.visible == "own":
-            return (triple.bob,)
-        if self.visible == "bob-and-charlie":
-            return (triple.bob, triple.charlie)
-        return triple.as_tuple()
-
-    def matches(self, triple: PayoffTriple, observed: tuple[float, ...]) -> bool:
-        """Whether each visible component of ``triple`` is within ``PAYOFF_TOL`` of ``observed``."""
-        return all(abs(x - y) <= PAYOFF_TOL for x, y in zip(self.components(triple), observed))
+        return tuple(triple[k] for k in _VISIBLE[self.visible])
 
 
-@dataclass(frozen=True)
+def _matches(entries: np.ndarray, observed) -> np.ndarray:
+    """Whether every visible payoff in the last axis of ``entries`` is within
+    ``PAYOFF_TOL`` of ``observed``: decoding and the information metric match by it."""
+    return (np.abs(entries - observed) <= PAYOFF_TOL).all(axis=-1)
+
+
+@dataclass(frozen=True, eq=False)
 class ProtocolTable:
-    """4x4 payoff table: codeword rows by (theta_B, theta_C) columns."""
+    """4x4 payoff table: codeword rows by (theta_B, theta_C) columns.
+
+    ``payoffs[codeword, column, player]`` is a read-only ``(4, 4, 3)`` copy
+    of the array the table is built from.
+    """
 
     label: str
     provenance: str  # "oracle" | "published"
     gamma: float | None
     delta: float | None
-    entries: tuple[tuple[PayoffTriple, ...], ...]
+    payoffs: np.ndarray
 
     def __post_init__(self):
         if self.provenance not in ("oracle", "published"):
             raise ValueError("provenance must be 'oracle' or 'published'")
-        if len(self.entries) != 4 or any(len(row) != 4 for row in self.entries):
-            raise ValueError("protocol table must be 4x4")
+        payoffs = np.array(self.payoffs, dtype=float)
+        if payoffs.shape != (4, 4, 3):
+            raise ValueError(f"protocol table must have shape (4, 4, 3), got {payoffs.shape}")
+        payoffs.flags.writeable = False
+        object.__setattr__(self, "payoffs", payoffs)
 
     def entry(self, row: int, col: int) -> PayoffTriple:
-        return self.entries[row][col]
+        return PayoffTriple(*self.payoffs[row, col].tolist())
 
     def column_index(self, move_pair: tuple[float, float]) -> int:
         for j, col in enumerate(COLUMNS):
@@ -132,9 +139,9 @@ class ProtocolTable:
                 {
                     "codeword": cw.bits,
                     "params": list(cw.params.as_tuple()),
-                    "payoffs": [list(t.as_tuple()) for t in row],
+                    "payoffs": row.tolist(),
                 }
-                for cw, row in zip(CODEWORDS, self.entries)
+                for cw, row in zip(CODEWORDS, self.payoffs)
             ],
         }
 
@@ -173,22 +180,18 @@ def protocol_table(
     # One dot per row and player, as expected_payoffs takes it, so each entry
     # equals the single-profile oracle bit for bit.
     columns = [table.column(k) for k in range(3)]
-    triples = [PayoffTriple(*(float(row @ col) for col in columns)) for row in probs]
-    n = len(COLUMNS)
+    payoffs = [[row @ col for col in columns] for row in probs]
     return ProtocolTable(
         label=f"oracle(gamma={gamma:.6g}, delta={delta:.6g})",
         provenance="oracle",
         gamma=gamma,
         delta=delta,
-        entries=tuple(tuple(triples[i : i + n]) for i in range(0, len(triples), n)),
+        payoffs=np.reshape(payoffs, (4, 4, 3)),
     )
 
 
 def _frac_rows(rows):
-    return tuple(
-        tuple(PayoffTriple(*(float(Fraction(x)) for x in cell)) for cell in row)
-        for row in rows
-    )
+    return [[[float(Fraction(x)) for x in cell] for cell in row] for row in rows]
 
 
 # Printed reference tables, stored as exact rationals (all are eighths, so
@@ -253,7 +256,7 @@ def fixture_table(table_id: str) -> ProtocolTable:
         provenance="published",
         gamma=None,
         delta=None,
-        entries=_FIXTURES[table_id],
+        payoffs=_FIXTURES[table_id],
     )
 
 
@@ -261,7 +264,7 @@ def decode(
     table: ProtocolTable,
     common_move_pair: tuple[float, float],
     observed: tuple[float, ...],
-    model: ObservationModel | None = None,
+    model: ObservationModel = ObservationModel(),
 ) -> DecodeResult:
     """Recover Alice's codeword candidates from observed payoffs.
 
@@ -271,17 +274,15 @@ def decode(
         ValueError: if the observed payoffs match no row of the column;
             the table and the observation are inconsistent.
     """
-    model = ObservationModel() if model is None else model
     col = table.column_index(common_move_pair)
-    expected_len = len(model.components(table.entry(0, 0)))
-    if len(observed) != expected_len:
+    visible = _VISIBLE[model.visible]
+    if len(observed) != len(visible):
         raise ValueError(
-            f"model {model.visible!r} needs {expected_len} observed component(s), "
+            f"model {model.visible!r} needs {len(visible)} observed component(s), "
             f"got {len(observed)}"
         )
-    candidates = tuple(
-        cw for cw, row in zip(CODEWORDS, table.entries) if model.matches(row[col], observed)
-    )
+    hits = _matches(table.payoffs[:, col, visible], observed)
+    candidates = tuple(cw for cw, hit in zip(CODEWORDS, hits) if hit)
     if not candidates:
         raise ValueError(
             f"observed payoffs {observed!r} match no codeword in column {COLUMNS[col]}"
@@ -292,7 +293,7 @@ def decode(
     )
 
 
-def information_bits(table: ProtocolTable, model: ObservationModel | None = None) -> float:
+def information_bits(table: ProtocolTable, model: ObservationModel = ObservationModel()) -> float:
     """Bits about Alice's codeword recoverable in the worst case.
 
     In each column, a codeword whose entry matches ``k`` of the column's
@@ -301,17 +302,12 @@ def information_bits(table: ProtocolTable, model: ObservationModel | None = None
     and Charlie commit to their move before Alice's choice is revealed.  2.0
     means every column separates all four codewords.
     """
-    model = ObservationModel() if model is None else model
-    column_bits = []
-    for col in range(len(COLUMNS)):
-        entries = [table.entry(row, col) for row in range(4)]
-        total = 0.0
-        for entry in entries:
-            observed = model.components(entry)
-            matches = sum(model.matches(other, observed) for other in entries)
-            total += 2.0 - math.log2(matches)
-        column_bits.append(total / 4.0)
-    return min(column_bits)
+    seen = table.payoffs[..., _VISIBLE[model.visible]]
+    # match[row, other, column]: the two rows' entries match in that column
+    match = _matches(seen[:, None], seen[None, :])
+    bits = 2.0 - np.log2(match.sum(axis=1))
+    # summed row by row, in codeword order
+    return float((bits.sum(axis=0) / 4.0).min())
 
 
 @dataclass(frozen=True)
@@ -347,21 +343,23 @@ class InfoRelationReport:
 
 def info_relation_report(
     tables: dict[str, ProtocolTable],
-    model: ObservationModel | None = None,
-    source: str = "oracle",
+    model: ObservationModel = ObservationModel(),
 ) -> InfoRelationReport:
     """Information metric for the four regime tables plus relation verdicts.
 
     ``tables`` maps every label of ``REGIMES`` to a protocol table (for the
     published source, table2 serves both symmetric regimes and table3 both
-    mixed ones).
+    mixed ones).  The report's ``source`` is the tables' common provenance;
+    a missing regime or mixed provenances raise ``ValueError``.
     """
-    model = ObservationModel() if model is None else model
     missing = set(REGIMES) - set(tables)
     if missing:
         raise ValueError(f"tables missing regimes: {sorted(missing)}")
+    sources = {tables[case].provenance for case in REGIMES}
+    if len(sources) != 1:
+        raise ValueError(f"tables mix provenances: {sorted(sources)}")
     values = {case: information_bits(tables[case], model) for case in REGIMES}
-    return InfoRelationReport(source=source, model=model, values=values)
+    return InfoRelationReport(source=sources.pop(), model=model, values=values)
 
 
 def oracle_regime_tables(table: PayoffTable = DEFAULT_PAYOFF_TABLE) -> dict[str, ProtocolTable]:

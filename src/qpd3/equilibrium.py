@@ -29,6 +29,7 @@ import numpy as np
 
 from .comms import common_move
 from .game import (
+    _PARAM_BOX,
     ATOL,
     DEFAULT_PAYOFF_TABLE,
     PAYOFF_TOL,
@@ -107,13 +108,13 @@ class GridSpec:
             )
 
     def theta_values(self) -> np.ndarray:
-        return _grid_axis(self.theta_points, 0.0, math.pi, _THETA_ANCHORS)
+        return _grid_axis(self.theta_points, *_PARAM_BOX["theta"], _THETA_ANCHORS)
 
     def alpha_values(self) -> np.ndarray:
-        return _grid_axis(self.alpha_points, -math.pi, math.pi, _PHASE_ANCHORS)
+        return _grid_axis(self.alpha_points, *_PARAM_BOX["alpha"], _PHASE_ANCHORS)
 
     def beta_values(self) -> np.ndarray:
-        return _grid_axis(self.beta_points, -math.pi, math.pi, _PHASE_ANCHORS)
+        return _grid_axis(self.beta_points, *_PARAM_BOX["beta"], _PHASE_ANCHORS)
 
     def refined(self) -> "GridSpec":
         """Grid with every axis doubled in resolution; supersets this one."""
@@ -158,9 +159,10 @@ class EquilibriumReport:
     """Grid-Nash certificate for one profile.
 
     ``gaps[k]`` is the best payoff gain player k could realize by a
-    unilateral move to any grid point (never negative: the played point is
-    always included in the candidate set).  The profile is grid-Nash when
-    no gap exceeds ``PAYOFF_TOL``.
+    unilateral move to any grid point, clamped at 0.  The played point lies
+    on the grid only for on-grid profiles, so an off-grid player whose
+    payoff beats every grid point reads 0, not a negative gap.  The profile
+    is grid-Nash when no gap exceeds ``PAYOFF_TOL``.
     """
 
     profile: Profile
@@ -199,11 +201,7 @@ def _grid_quaternions(grid: GridSpec) -> np.ndarray:
     """Unit quaternions of the grid's moves, ``(G, 4)``, in ``_candidate_params`` order."""
     theta, alpha, beta = grid.theta_values(), grid.alpha_values(), grid.beta_values()
     # Grid moves never reach the kernel, so their range is checked here.
-    for name, axis, lo, hi in (
-        ("theta", theta, 0.0, math.pi),
-        ("alpha", alpha, -math.pi, math.pi),
-        ("beta", beta, -math.pi, math.pi),
-    ):
+    for (name, (lo, hi)), axis in zip(_PARAM_BOX.items(), (theta, alpha, beta)):
         if not ((lo <= axis) & (axis <= hi)).all():
             raise ValueError(f"grid {name} values must lie in [{lo:.6g}, {hi:.6g}]")
     c, s = np.cos(theta / 2)[:, None, None], np.sin(theta / 2)[:, None, None]

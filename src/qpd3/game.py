@@ -41,14 +41,20 @@ ATOL = 1e-12
 #: Payoffs this close count as equal, in every check and in decoding.
 PAYOFF_TOL = 1e-9
 
+#: Range of each angle of a move, name -> (lo, hi), and the same as arrays;
+#: every check and sampler of moves reads it.  gamma and delta lie in [0, _ANGLE_HI].
+_PARAM_BOX = {"theta": (0.0, math.pi), "alpha": (-math.pi, math.pi), "beta": (-math.pi, math.pi)}
+_PARAM_LO, _PARAM_HI = (np.array(bound) for bound in zip(*_PARAM_BOX.values()))
+_ANGLE_HI = math.pi / 2
+
 #: The four entanglement regimes, label -> (gamma, delta): the initial state
 #: and then the measurement basis is product (P, angle 0) or maximally
 #: entangled (E, angle pi/2).  Scans and information reports keep this order.
 REGIMES = {
     "PP": (0.0, 0.0),
-    "PE": (0.0, math.pi / 2),
-    "EP": (math.pi / 2, 0.0),
-    "EE": (math.pi / 2, math.pi / 2),
+    "PE": (0.0, _ANGLE_HI),
+    "EP": (_ANGLE_HI, 0.0),
+    "EE": (_ANGLE_HI, _ANGLE_HI),
 }
 
 # Classic three-player dilemma payoffs: cooperate = bit 0, defect = bit 1.
@@ -110,9 +116,8 @@ class StrategyParams:
     beta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", _check_range("theta", self.theta, 0.0, math.pi))
-        object.__setattr__(self, "alpha", _check_range("alpha", self.alpha, -math.pi, math.pi))
-        object.__setattr__(self, "beta", _check_range("beta", self.beta, -math.pi, math.pi))
+        for name, (lo, hi) in _PARAM_BOX.items():
+            object.__setattr__(self, name, _check_range(name, getattr(self, name), lo, hi))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.theta, self.alpha, self.beta)
@@ -197,8 +202,8 @@ class GameConfig:
     payoffs: PayoffTable = DEFAULT_PAYOFF_TABLE
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", _check_range("gamma", self.gamma, 0.0, math.pi / 2))
-        object.__setattr__(self, "delta", _check_range("delta", self.delta, 0.0, math.pi / 2))
+        object.__setattr__(self, "gamma", _check_range("gamma", self.gamma, 0.0, _ANGLE_HI))
+        object.__setattr__(self, "delta", _check_range("delta", self.delta, 0.0, _ANGLE_HI))
 
 
 def moves(params) -> np.ndarray:
@@ -236,7 +241,7 @@ def measurement_basis(delta: float) -> list[np.ndarray]:
     {000, 111, 001, 110} family and the minus sign on the rest.  At delta=0
     this is the computational basis.
     """
-    delta = _check_range("delta", delta, 0.0, math.pi / 2)
+    delta = _check_range("delta", delta, 0.0, _ANGLE_HI)
     c = math.cos(delta / 2)
     s = math.sin(delta / 2)
     basis = []
@@ -246,11 +251,6 @@ def measurement_basis(delta: float) -> list[np.ndarray]:
         v[7 - b] += _SIGNS[b] * 1j * s
         basis.append(v)
     return basis
-
-
-# Range of (theta, alpha, beta), as StrategyParams enforces it.
-_PARAM_LO = np.array([0.0, -math.pi, -math.pi])
-_PARAM_HI = np.array([math.pi, math.pi, math.pi])
 
 
 def outcome_probabilities(gamma, delta, pa, pb, pc) -> np.ndarray:
@@ -273,7 +273,7 @@ def outcome_probabilities(gamma, delta, pa, pb, pc) -> np.ndarray:
             raise ValueError(f"{name} needs shape () or (N,), got shape {a.shape}")
     # Both angles go through one range check and one pair of trig calls.
     flat = np.concatenate([a.ravel() for a in angles])
-    if not ((0.0 <= flat) & (flat <= math.pi / 2)).all():
+    if not ((0.0 <= flat) & (flat <= _ANGLE_HI)).all():
         raise ValueError("gamma and delta must lie in [0, pi/2]")
     # (1, 1) or (N, 1) halves, so they broadcast along the 8 amplitudes of a row.
     half = flat[:, None] / 2

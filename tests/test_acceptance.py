@@ -238,15 +238,12 @@ def test_criterion_09_information_relation_verdicts():
     lines = []
     for visible in ("own", "bob-and-charlie", "full-triple"):
         model = ObservationModel(visible=visible)
-        for source, tables in (
-            ("oracle", oracle_regime_tables()),
-            ("published", fixture_regime_tables()),
-        ):
-            rep = info_relation_report(tables, model, source=source)
+        for tables in (oracle_regime_tables(), fixture_regime_tables()):
+            rep = info_relation_report(tables, model)
             verdict = rep.verdicts()
             values = ", ".join(f"{k}={v:g}" for k, v in rep.values.items())
             lines.append(
-                f"    {source}/{visible}: {values} -> relation "
+                f"    {rep.source}/{visible}: {values} -> relation "
                 f"{'holds' if verdict['relation_holds'] else 'FAILS (documented)'}"
             )
     report(

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import re
+import shlex
 from pathlib import Path
 from unittest import mock
 
@@ -457,3 +458,40 @@ class TestRemovedFlags:
         assert excinfo.value.code == 2
         assert capsys.readouterr().out == ""
         assert list(tmp_path.iterdir()) == []
+
+
+def _readme_cli_examples() -> list[tuple[str, list[str]]]:
+    """Each ``qpd3 ...`` line of the README's "Command line" block, with the
+    ``# ...`` lines right below it: the stdout the README shows for it."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Command line\n.*?^```sh\n(.*?)^```", readme, re.S | re.M).group(1)
+    examples = []
+    follows_command = False
+    for line in block.splitlines():
+        if line.startswith("qpd3 "):
+            examples.append((line, []))
+            follows_command = True
+        elif follows_command and line.startswith("# "):
+            examples[-1][1].append(line[2:])
+        else:
+            follows_command = False
+    return examples
+
+
+README_CLI_EXAMPLES = _readme_cli_examples()
+
+
+def test_readme_cli_block_found():
+    assert len(README_CLI_EXAMPLES) == 9
+    assert sum(bool(stdout) for _, stdout in README_CLI_EXAMPLES) == 3
+
+
+@pytest.mark.parametrize(
+    "line,stdout", README_CLI_EXAMPLES, ids=[line for line, _ in README_CLI_EXAMPLES]
+)
+def test_readme_cli_example(line, stdout, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(line)[1:]) == 0
+    out = capsys.readouterr().out
+    if stdout:
+        assert out.splitlines() == stdout

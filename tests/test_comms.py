@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from qpd3 import (
@@ -19,7 +20,16 @@ from qpd3 import (
     protocol_table,
 )
 
-from conftest import PRINTED_TABLE2, PRINTED_TABLE3, PRINTED_TO_PACKAGE_COL
+from qpd3.comms import ProtocolTable
+from qpd3.game import PAYOFF_TOL
+
+from conftest import (
+    PRINTED_TABLE2,
+    PRINTED_TABLE3,
+    PRINTED_TO_PACKAGE_COL,
+    reference_decode,
+    reference_information_bits,
+)
 
 HALF_PI = math.pi / 2
 
@@ -130,6 +140,21 @@ class TestProtocolTable:
                         want.as_tuple(), abs=1e-15
                     )
 
+    def test_payoffs_are_a_read_only_copy(self):
+        source = np.ones((4, 4, 3))
+        table = ProtocolTable("t", "oracle", 0.0, 0.0, source)
+        source[0, 0, 0] = 7.0
+        assert table.payoffs[0, 0, 0] == 1.0
+        with pytest.raises(ValueError):
+            table.payoffs[0, 0, 0] = 7.0
+        assert not protocol_table(0.3, 0.9).payoffs.flags.writeable
+        assert not fixture_table("table2").payoffs.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(4, 4), (4, 4, 2), (3, 4, 3), (4, 4, 3, 1)])
+    def test_wrong_shape_is_rejected(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            ProtocolTable("t", "oracle", 0.0, 0.0, np.ones(shape))
+
     def test_column_lookup(self):
         table = fixture_table("table2")
         assert table.column_index((0.0, math.pi)) == 1
@@ -192,6 +217,54 @@ class TestDecode:
                 assert n_own >= n_pair >= n_full
 
 
+def _jittered_table(rng) -> ProtocolTable:
+    """Two payoff levels per component, each entry shifted by 0, +-0.5 or
+    +-1.5 PAYOFF_TOL: rows collide, some within the tolerance and some not.
+    At level 0 the shifts are exact, so entries +-0.5 apart sit exactly at
+    the tolerance."""
+    levels = rng.choice([0.0, 2.5], size=(4, 4, 3))
+    shifts = rng.choice([-1.5, -0.5, 0.0, 0.5, 1.5], size=(4, 4, 3)) * PAYOFF_TOL
+    return ProtocolTable("jitter", "oracle", None, None, levels + shifts)
+
+
+class TestMatchingRuleAgainstLoops:
+    """The array decode and information metric against the nested loops they
+    replaced, exactly, at entries offset within and beyond PAYOFF_TOL."""
+
+    @pytest.mark.parametrize("model", [OWN, PAIR, FULL], ids=lambda m: m.visible)
+    def test_decode_candidates_equal_reference(self, model):
+        rng = np.random.default_rng(808)
+        for _ in range(20):
+            table = _jittered_table(rng)
+            for col, move_pair in enumerate(COLUMNS):
+                for row in range(4):
+                    seen = model.components(table.entry(row, col))
+                    for shift in (0.0, 0.5, -0.5, 1.5, -1.5):
+                        observed = tuple(x + shift * PAYOFF_TOL for x in seen)
+                        want = reference_decode(table, col, observed, model)
+                        if not want:
+                            with pytest.raises(ValueError, match="match no codeword"):
+                                decode(table, move_pair, observed, model)
+                            continue
+                        got = decode(table, move_pair, observed, model)
+                        assert tuple(c.bits for c in got.candidates) == want
+                        assert got.bits_resolved == 2.0 - math.log2(len(want))
+
+    @pytest.mark.parametrize("model", [OWN, PAIR, FULL], ids=lambda m: m.visible)
+    def test_information_bits_equal_reference(self, model):
+        rng = np.random.default_rng(909)
+        tables = [_jittered_table(rng) for _ in range(60)]
+        tables += [fixture_table("table2"), fixture_table("table3")]
+        tables += list(oracle_regime_tables().values())
+        values = set()
+        for table in tables:
+            got = information_bits(table, model)
+            assert got == reference_information_bits(table, model)
+            values.add(got)
+        # the seeded tables resolve fewer than 2 bits, not only the full 2
+        assert len(values) > 1
+
+
 class TestObservationModel:
     def test_component_selection(self):
         from qpd3 import PayoffTriple
@@ -211,16 +284,8 @@ class TestInformationBits:
         assert information_bits(fixture_table("table2"), FULL) == 2.0
 
     def test_constant_table_carries_nothing(self):
-        from qpd3.comms import ProtocolTable
-        from qpd3 import PayoffTriple
-
-        flat = PayoffTriple(1.0, 1.0, 1.0)
         table = ProtocolTable(
-            label="flat",
-            provenance="oracle",
-            gamma=0.0,
-            delta=0.0,
-            entries=tuple((flat,) * 4 for _ in range(4)),
+            label="flat", provenance="oracle", gamma=0.0, delta=0.0, payoffs=np.ones((4, 4, 3))
         )
         assert information_bits(table, FULL) == 0.0
 
@@ -247,7 +312,7 @@ class TestInformationBits:
 
 class TestInfoRelationReport:
     def test_fixture_source_verdicts(self):
-        report = info_relation_report(fixture_regime_tables(), FULL, source="published")
+        report = info_relation_report(fixture_regime_tables(), FULL)
         assert report.values == {"PP": 2.0, "PE": 2.0, "EP": 2.0, "EE": 2.0}
         verdicts = report.verdicts()
         assert verdicts["pp_eq_ee"]
@@ -256,13 +321,22 @@ class TestInfoRelationReport:
         assert not verdicts["relation_holds"]
 
     def test_oracle_source_own_visibility(self):
-        report = info_relation_report(oracle_regime_tables(), OWN, source="oracle")
+        report = info_relation_report(oracle_regime_tables(), OWN)
         # frozen measured values: only the maximal-entanglement oracle table
         # has a Bob-payoff collision
         assert report.values["PP"] == 2.0
         assert report.values["PE"] == 2.0
         assert report.values["EP"] == 2.0
         assert report.values["EE"] == 1.5
+
+    def test_source_is_the_tables_provenance(self):
+        assert info_relation_report(fixture_regime_tables(), FULL).source == "published"
+        assert info_relation_report(oracle_regime_tables(), FULL).source == "oracle"
+
+    def test_mixed_provenances_are_rejected(self):
+        tables = {**oracle_regime_tables(), "PP": fixture_table("table2")}
+        with pytest.raises(ValueError, match="provenances"):
+            info_relation_report(tables, FULL)
 
     def test_requires_all_regimes(self):
         with pytest.raises(ValueError):
@@ -271,5 +345,5 @@ class TestInfoRelationReport:
     def test_record_is_serializable(self):
         import json
 
-        report = info_relation_report(fixture_regime_tables(), PAIR, source="published")
+        report = info_relation_report(fixture_regime_tables(), PAIR)
         json.dumps(report.to_record())

@@ -285,6 +285,22 @@ class TestVerifyNash:
             report = verify_nash(profile, config, SMALL_GRID)
             assert min(report.gaps) >= 0.0
 
+    def test_off_grid_player_above_every_grid_point_reads_zero(self):
+        # the played point is not a grid candidate here: Alice's payoff beats
+        # her best grid deviation, and her gap is clamped to 0, not negative
+        profile = Profile(
+            StrategyParams(2.74, -0.17, 2.59),
+            StrategyParams(2.41, 2.61, -2.34),
+            StrategyParams(0.23, -2.7, 2.32),
+        )
+        config, grid = GameConfig(0.3, 0.9), GridSpec(3, 3, 3)
+        report = verify_nash(profile, config, grid)
+        others = profile.as_tuple()[1:]
+        best_grid = float(_batched_payoffs(0, _grid_quaternions(grid), others, config).max())
+        assert report.payoff.alice == pytest.approx(3.7473, abs=1e-4)
+        assert best_grid == pytest.approx(3.6930, abs=1e-4)
+        assert report.gaps[0] == 0.0
+
     def test_refinement_never_rescues_a_non_nash_verdict(self):
         profile = Profile(
             StrategyParams(0, math.pi, math.pi), cooperate(), cooperate()
