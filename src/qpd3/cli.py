@@ -53,7 +53,6 @@ from .comms import (
 )
 from .equilibrium import GridSpec, Profile, four_case_scan, verify_nash
 from .game import (
-    _ANGLE_HI,
     _PARAM_HI,
     _PARAM_LO,
     ATOL,
@@ -182,6 +181,13 @@ def _fmt_triple(triple) -> str:
     return "(" + ", ".join(f"{x:.10g}" for x in triple) + ")"
 
 
+def _reject_given(args, command: str, names: tuple[str, ...]) -> None:
+    """Raise a UsageError naming each option in ``names`` that was given."""
+    given = [f"--{name}" for name in names if getattr(args, name) is not None]
+    if given:
+        raise UsageError(f"{command} does not take {', '.join(given)}")
+
+
 def _table_for(args) -> PayoffTable:
     if args.payoffs:
         return load_payoff_table(args.payoffs)
@@ -195,10 +201,8 @@ def _table_for(args) -> PayoffTable:
 def cmd_payoff(args) -> int:
     config = GameConfig(parse_angle(args.gamma), parse_angle(args.delta), _table_for(args))
     profile = (parse_params(args.alice), parse_params(args.bob), parse_params(args.charlie))
-    probs = outcome_probabilities(
-        config.gamma, config.delta, *(p.as_tuple() for p in profile)
-    )[0]
-    payoffs = [float(probs @ config.payoffs.column(k)) for k in range(3)]
+    probs = outcome_probabilities(config.gamma, config.delta, *(p.as_tuple() for p in profile))
+    payoffs = config.payoffs.expected(probs)[0].tolist()
     doc = _report_doc(
         inputs={
             "command": "payoff",
@@ -210,7 +214,7 @@ def cmd_payoff(args) -> int:
         },
         results={
             "payoffs": payoffs,
-            "outcome_probabilities": dict(zip(OUTCOMES, probs.tolist())),
+            "outcome_probabilities": dict(zip(OUTCOMES, probs[0].tolist())),
         },
     )
     if args.out:
@@ -258,9 +262,12 @@ def _auto_fixture(gamma: float, delta: float) -> str | None:
 
 def cmd_table(args) -> int:
     gamma, delta = parse_angle(args.gamma), parse_angle(args.delta)
-    oracle = protocol_table(gamma, delta, _table_for(args))
+    table = _table_for(args)
+    oracle = protocol_table(gamma, delta, table)
 
-    fixture_name = args.fixture or _auto_fixture(gamma, delta)
+    # The fixtures hold the classic payoffs; another table is compared only on request.
+    auto = _auto_fixture(gamma, delta) if table == DEFAULT_PAYOFF_TABLE else None
+    fixture_name = args.fixture or auto
     fixtures = {}
     discrepancies = []
     verdicts = {}
@@ -299,6 +306,7 @@ def cmd_nash(args) -> int:
     grid = parse_grid(args.grid) if args.grid else GridSpec()
     table = _table_for(args)
     if args.scan:
+        _reject_given(args, "nash --scan", ("alice", "bob", "charlie", "gamma", "delta"))
         scan = four_case_scan(table, grid)
         record = scan.to_record()
         doc = _report_doc(
@@ -315,7 +323,8 @@ def cmd_nash(args) -> int:
     else:
         if not (args.alice and args.bob and args.charlie):
             raise UsageError("nash needs --alice/--bob/--charlie (or use --scan)")
-        config = GameConfig(parse_angle(args.gamma), parse_angle(args.delta), table)
+        gamma, delta = (parse_angle("0" if a is None else a) for a in (args.gamma, args.delta))
+        config = GameConfig(gamma, delta, table)
         profile = Profile(
             parse_params(args.alice), parse_params(args.bob), parse_params(args.charlie)
         )
@@ -390,6 +399,7 @@ def cmd_comm_simulate(args) -> int:
 
 def cmd_comm_decode(args) -> int:
     if args.fixture:
+        _reject_given(args, "decode --fixture", ("gamma", "delta", "payoffs"))
         table = fixture_table(args.fixture)
     else:
         if args.gamma is None or args.delta is None:
@@ -435,10 +445,13 @@ def cmd_comm_decode(args) -> int:
 # verify bundle
 
 
-def _check(name: str, ok: bool, detail: dict, hard_failures: list) -> dict:
-    if not ok:
-        hard_failures.append(name)
+def _check(name: str, ok: bool, detail: dict) -> dict:
     return {"check": name, "pass": bool(ok), **detail}
+
+
+def _checks(results: dict) -> list[tuple[str, bool]]:
+    """Each hard check among a bundle's ``results`` and whether it passed, in order."""
+    return [(name, e["pass"]) for name, e in results.items() if isinstance(e, dict) and "pass" in e]
 
 
 def build_verify_bundle(seed: int) -> tuple[dict, list]:
@@ -446,7 +459,6 @@ def build_verify_bundle(seed: int) -> tuple[dict, list]:
     grid = GridSpec()
     rng = np.random.default_rng(seed)
     table = DEFAULT_PAYOFF_TABLE
-    hard: list[str] = []
     results: dict = {}
     verdicts: dict = {}
     discrepancies: list = []
@@ -460,11 +472,8 @@ def build_verify_bundle(seed: int) -> tuple[dict, list]:
     profiles[..., 0] = math.pi * defects
     profiles[..., 1:] = rng.uniform(_PARAM_LO[1:], _PARAM_HI[1:], size=(80, 3, 2))
     probs = outcome_probabilities(0.0, 0.0, *profiles.transpose(1, 0, 2))
-    entries = np.array(table.entries)
-    worst = float(np.max(np.abs(probs @ entries - entries[bits])))
-    results["classical_limit"] = _check(
-        "classical_limit", worst <= ATOL, {"max_abs_error": worst}, hard
-    )
+    worst = float(np.max(np.abs(table.expected(probs) - np.array(table.entries)[bits])))
+    results["classical_limit"] = _check("classical_limit", worst <= ATOL, {"max_abs_error": worst})
 
     # Measurement basis: orthonormal and complete across a delta sweep.
     worst_gram = worst_sum = 0.0
@@ -478,25 +487,19 @@ def build_verify_bundle(seed: int) -> tuple[dict, list]:
         "basis_completeness",
         worst_gram <= ATOL and worst_sum <= ATOL,
         {"max_gram_error": worst_gram, "max_projector_sum_error": worst_sum},
-        hard,
     )
 
-    # Born conservation over seeded random draws: per row gamma, delta, then
-    # (theta, alpha, beta) per player.  The kernel itself raises once a row
-    # misses 1 by more than ATOL, so that error is this check's failure.
-    lo = np.concatenate([[0.0, 0.0], np.tile(_PARAM_LO, 3)])
-    hi = np.concatenate([[_ANGLE_HI, _ANGLE_HI], np.tile(_PARAM_HI, 3)])
-    draws = rng.uniform(lo, hi, size=(1000, 11))
-    players = draws[:, 2:].reshape(-1, 3, 3).transpose(1, 0, 2)
+    # Born conservation over 1000 seeded draws of the whole space.  The kernel
+    # itself raises once a row misses 1 by more than ATOL, so that error is
+    # this check's failure.
+    gamma, delta, params = sample_any(rng, 1000)
     try:
-        probs = outcome_probabilities(draws[:, 0], draws[:, 1], *players)
+        probs = outcome_probabilities(gamma, delta, *params.transpose(1, 0, 2))
     except ValueError as exc:
         born = {"error": str(exc)}
     else:
         born = {"max_abs_sum_error": float(np.max(np.abs(probs.sum(axis=1) - 1.0)))}
-    results["born_conservation"] = _check(
-        "born_conservation", "error" not in born, born, hard
-    )
+    results["born_conservation"] = _check("born_conservation", "error" not in born, born)
 
     # Four-regime scan: the PP and EE values are analytically forced; the
     # mixed-regime bound and equality claims are measured verdicts.
@@ -509,16 +512,14 @@ def build_verify_bundle(seed: int) -> tuple[dict, list]:
         "pp_value",
         max(abs(x - 1.0) for x in pp.as_tuple()) <= PAYOFF_TOL,
         {"payoff": list(pp.as_tuple())},
-        hard,
     )
     results["ee_value"] = _check(
         "ee_value",
         max(abs(x - 3.0) for x in ee.as_tuple()) <= PAYOFF_TOL,
         {"payoff": list(ee.as_tuple())},
-        hard,
     )
     results["pp_nash"] = _check(
-        "pp_nash", scan.report_for("PP").is_nash, {"gaps": list(scan.report_for("PP").gaps)}, hard
+        "pp_nash", scan.report_for("PP").is_nash, {"gaps": list(scan.report_for("PP").gaps)}
     )
     verdicts["ordering"] = scan_record["ordering"]
     verdicts["bound_checks"] = scan_record["bound_checks"]
@@ -537,7 +538,6 @@ def build_verify_bundle(seed: int) -> tuple[dict, list]:
         "closed_form_classical",
         restricted.max_abs_delta < PAYOFF_TOL,
         {"max_abs_delta": restricted.max_abs_delta},
-        hard,
     )
     unrestricted_record = unrestricted.to_record()
     deltas = sorted(max(s.delta_abs) for s in unrestricted.samples)
@@ -566,7 +566,6 @@ def build_verify_bundle(seed: int) -> tuple[dict, list]:
             "common_0_observed_2_2": d1.to_record(),
             "common_pi_observed_4_4": d2.to_record(),
         },
-        hard,
     )
 
     # Oracle tables vs published fixtures, per regime.
@@ -591,7 +590,7 @@ def build_verify_bundle(seed: int) -> tuple[dict, list]:
             table2_full = information_bits(t2, m)
     results["information"] = info_records
     results["table2_full_bits"] = _check(
-        "table2_full_bits", table2_full == 2.0, {"bits": table2_full}, hard
+        "table2_full_bits", table2_full == 2.0, {"bits": table2_full}
     )
     verdicts["information_relation"] = [
         {"source": r["source"], "model": r["model"]["visible"], **r["verdicts"]}
@@ -608,7 +607,8 @@ def build_verify_bundle(seed: int) -> tuple[dict, list]:
                 }
             )
 
-    verdicts["hard_failures"] = list(hard)
+    hard = [name for name, ok in _checks(results) if not ok]
+    verdicts["hard_failures"] = hard
     doc = _report_doc(
         inputs={
             "command": "verify",
@@ -628,10 +628,8 @@ def build_verify_bundle(seed: int) -> tuple[dict, list]:
 def cmd_verify(args) -> int:
     doc, hard = build_verify_bundle(args.seed)
     _emit(args, render_json(doc))
-    for name, entry in doc["results"].items():
-        if isinstance(entry, dict) and "pass" in entry:
-            status = "pass" if entry["pass"] else "FAIL"
-            sys.stderr.write(f"{status}  {name}\n")
+    for name, ok in _checks(doc["results"]):
+        sys.stderr.write(f"{'pass' if ok else 'FAIL'}  {name}\n")
     n_disc = len(doc["discrepancies"])
     sys.stderr.write(
         f"{len(hard)} hard failure(s); {n_disc} documented discrepancy record(s)\n"
@@ -679,8 +677,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("nash", help="grid-Nash certificate or four-regime scan")
-    p.add_argument("--gamma", default="0")
-    p.add_argument("--delta", default="0")
+    p.add_argument("--gamma", help="default 0")
+    p.add_argument("--delta", help="default 0")
     p.add_argument("--alice", metavar="T,A,B")
     p.add_argument("--bob", metavar="T,A,B")
     p.add_argument("--charlie", metavar="T,A,B")

@@ -20,16 +20,21 @@ import numpy as np
 
 from .game import (
     _ANGLE_HI,
-    _PARAM_BOX,
+    _PARAM_HI,
+    _PARAM_LO,
     ATOL,
+    DEFAULT_PAYOFF_TABLE,
     OUTCOMES,
     GameConfig,
+    PayoffTable,
     PayoffTriple,
     StrategyParams,
     expected_payoffs,
 )
 
-Sampler = Callable[[np.random.Generator], tuple[GameConfig, tuple[StrategyParams, StrategyParams, StrategyParams]]]
+#: ``sampler(rng, n)`` draws ``n`` audit samples: ``gamma`` and ``delta`` of
+#: shape ``(n,)`` and the ``(n, player, (theta, alpha, beta))`` moves.
+Sampler = Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -73,7 +78,7 @@ def _closed_form_player(
 
     ``gamma`` and ``delta`` hold one angle per sample, ``params`` the
     ``(n, 3, 3)`` player-by-(theta, alpha, beta) angles and ``dollars`` maps
-    each outcome to the player's ``(n,)`` payoffs.  The repeated ``sin(tb)``
+    each outcome to the player's payoff.  The repeated ``sin(tb)``
     in the final four terms is intentional: it is what the published
     expression literally says, and the whole point of this evaluator is to
     measure that expression against the oracle.
@@ -142,18 +147,11 @@ def _closed_form_player(
     return total
 
 
-def _closed_form(draws) -> np.ndarray:
-    """The printed closed form for each ``(config, profile)`` of ``draws``, shape ``(n, 3)``."""
-    gamma = np.array([config.gamma for config, _ in draws])
-    delta = np.array([config.delta for config, _ in draws])
-    # (n, player, (theta, alpha, beta)) angles and (n, outcome, player) payoffs
-    params = np.array([[p.as_tuple() for p in profile] for _, profile in draws])
-    tables = np.array([config.payoffs.entries for config, _ in draws])
+def _closed_form(gamma, delta, params, table: PayoffTable) -> np.ndarray:
+    """Printed closed form, ``(n, 3)``, at scalar or ``(n,)`` angles and ``(n, 3, 3)`` moves."""
     terms = ClosedFormTerms.from_angles(gamma, delta, tuple(params[:, :, 0].T))
-    players = [dict(zip(OUTCOMES, tables[:, :, k].T)) for k in range(3)]
-    return np.stack(
-        [_closed_form_player(d, terms, gamma, delta, params) for d in players], axis=1
-    )
+    dollars = [dict(zip(OUTCOMES, table.column(k))) for k in range(3)]
+    return np.stack([_closed_form_player(d, terms, gamma, delta, params) for d in dollars], 1)
 
 
 def closed_form_payoffs(
@@ -166,7 +164,9 @@ def closed_form_payoffs(
     agrees with the oracle there.  Away from that corner, agreement is an
     empirical question answered by :func:`compare_to_oracle`.
     """
-    return PayoffTriple(*_closed_form([(config, (pa, pb, pc))])[0].tolist())
+    params = np.array([[p.as_tuple() for p in (pa, pb, pc)]])
+    payoffs = _closed_form(config.gamma, config.delta, params, config.payoffs)
+    return PayoffTriple(*payoffs[0].tolist())
 
 
 def max_entanglement_payoffs(
@@ -265,52 +265,52 @@ class ComparisonReport:
         }
 
 
-# Scalar draws: one vector draw gives the same stream but costs more per sample.
-def _random_params(rng: np.random.Generator) -> StrategyParams:
-    return StrategyParams(*(rng.uniform(lo, hi) for lo, hi in _PARAM_BOX.values()))
+# Per sample: gamma, delta, then (theta, alpha, beta) for each player.
+_SAMPLE_LO = np.concatenate([[0.0, 0.0], np.tile(_PARAM_LO, 3)])
+_SAMPLE_HI = np.concatenate([[_ANGLE_HI, _ANGLE_HI], np.tile(_PARAM_HI, 3)])
 
 
-def sample_any(rng: np.random.Generator):
-    """Uniform draw over the full (gamma, delta, three-profile) space."""
-    config = GameConfig(rng.uniform(0.0, _ANGLE_HI), rng.uniform(0.0, _ANGLE_HI))
-    return config, (_random_params(rng), _random_params(rng), _random_params(rng))
+def sample_any(rng: np.random.Generator, n: int):
+    """``n`` uniform draws over the full space: one ``(n, 11)`` draw, the same stream
+    as scalar draws of gamma, delta, then (theta, alpha, beta) per player, per sample."""
+    draws = rng.uniform(_SAMPLE_LO, _SAMPLE_HI, size=(n, 11))
+    return draws[:, 0], draws[:, 1], draws[:, 2:].reshape(n, 3, 3)
 
 
-def sample_classical_limit(rng: np.random.Generator):
-    """Random profiles pinned to the classical corner gamma = delta = 0."""
-    config = GameConfig(0.0, 0.0)
-    return config, (_random_params(rng), _random_params(rng), _random_params(rng))
+def sample_classical_limit(rng: np.random.Generator, n: int):
+    """As :func:`sample_any` at the classical corner gamma = delta = 0: one ``(n, 9)`` draw."""
+    draws = rng.uniform(_SAMPLE_LO[2:], _SAMPLE_HI[2:], size=(n, 9))
+    return np.zeros(n), np.zeros(n), draws.reshape(n, 3, 3)
 
 
-def sample_pure_moves(rng: np.random.Generator):
-    """Random entanglement and phases but pure moves theta in {0, pi}."""
-    config = GameConfig(rng.uniform(0.0, _ANGLE_HI), rng.uniform(0.0, _ANGLE_HI))
-
-    def pure() -> StrategyParams:
-        theta = float(rng.choice((0.0, math.pi)))
-        return StrategyParams(theta, *(rng.uniform(*_PARAM_BOX[a]) for a in ("alpha", "beta")))
-
-    return config, (pure(), pure(), pure())
+def sample_pure_moves(rng: np.random.Generator, n: int):
+    """``n`` draws as :func:`sample_any`, then every theta redrawn from {0, pi}."""
+    gamma, delta, params = sample_any(rng, n)
+    params[..., 0] = math.pi * rng.integers(0, 2, size=(n, 3))
+    return gamma, delta, params
 
 
 def compare_to_oracle(sampler: Sampler, n: int, seed: int = 0) -> ComparisonReport:
     """Sample ``n`` profiles and tabulate closed-form-vs-oracle deltas.
 
     Deterministic for a fixed ``(sampler, n, seed)``; deltas are recorded, not
-    judged; callers decide which regimes warrant assertions.  The closed form
-    runs once over all ``n`` samples; the oracle runs once per sample.
+    judged; callers decide which regimes warrant assertions.  The sampler
+    draws all ``n`` samples at once and the closed form runs once over them;
+    the oracle runs once per sample, under the classic payoff table.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    draws = [sampler(rng) for _ in range(n)]
+    gamma, delta, params = sampler(np.random.default_rng(seed), n)
+    closed = _closed_form(gamma, delta, params, DEFAULT_PAYOFF_TABLE)
     samples = []
-    for (config, profile), closed_form in zip(draws, _closed_form(draws).tolist()):
-        oracle = expected_payoffs(config, *profile).as_tuple()
+    rows = zip(gamma.tolist(), delta.tolist(), params.tolist(), closed.tolist())
+    for g, d, moves, closed_form in rows:
+        profile = tuple(StrategyParams(*move) for move in moves)
+        oracle = expected_payoffs(GameConfig(g, d), *profile).as_tuple()
         samples.append(
             ComparisonSample(
-                gamma=config.gamma,
-                delta=config.delta,
+                gamma=g,
+                delta=d,
                 params=tuple(p.as_tuple() for p in profile),
                 oracle=oracle,
                 closed_form=tuple(closed_form),

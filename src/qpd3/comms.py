@@ -165,7 +165,8 @@ def protocol_table(
 ) -> ProtocolTable:
     """Oracle-evaluated protocol table for the given entanglement angles.
 
-    The 16 (codeword, column) profiles go through the kernel as one batch.
+    The 16 (codeword, column) profiles go through the kernel as one batch,
+    and each entry equals the single-profile oracle bit for bit.
     """
     config = GameConfig(gamma, delta, table)
     # (16, player, (theta, alpha, beta)), codeword-major
@@ -177,16 +178,12 @@ def protocol_table(
         ]
     )
     probs = outcome_probabilities(config.gamma, config.delta, *profiles.transpose(1, 0, 2))
-    # One dot per row and player, as expected_payoffs takes it, so each entry
-    # equals the single-profile oracle bit for bit.
-    columns = [table.column(k) for k in range(3)]
-    payoffs = [[row @ col for col in columns] for row in probs]
     return ProtocolTable(
         label=f"oracle(gamma={gamma:.6g}, delta={delta:.6g})",
         provenance="oracle",
         gamma=gamma,
         delta=delta,
-        payoffs=np.reshape(payoffs, (4, 4, 3)),
+        payoffs=table.expected(probs).reshape(4, 4, 3),
     )
 
 

@@ -189,16 +189,10 @@ class EquilibriumReport:
         return record
 
 
-def _candidate_params(grid: GridSpec) -> np.ndarray:
-    """Grid points as a ``(G, 3)`` array in lexicographic (theta, alpha, beta) order."""
-    axes = np.meshgrid(
-        grid.theta_values(), grid.alpha_values(), grid.beta_values(), indexing="ij"
-    )
-    return np.stack([axis.ravel() for axis in axes], axis=1)
-
-
 def _grid_quaternions(grid: GridSpec) -> np.ndarray:
-    """Unit quaternions of the grid's moves, ``(G, 4)``, in ``_candidate_params`` order."""
+    """Unit quaternions of the grid's moves, ``(G, 4)``, in lexicographic
+    (theta, alpha, beta) order: row ``g`` is the move at the axis indices
+    ``np.unravel_index(g, (len(theta), len(alpha), len(beta)))``."""
     theta, alpha, beta = grid.theta_values(), grid.alpha_values(), grid.beta_values()
     # Grid moves never reach the kernel, so their range is checked here.
     for (name, (lo, hi)), axis in zip(_PARAM_BOX.items(), (theta, alpha, beta)):
@@ -268,10 +262,12 @@ def best_response(
     """
     k = player_index(player)
     payoffs = _batched_payoffs(k, _grid_quaternions(grid), others, config)
-    # quaternions are in lexicographic candidate order, so the first
-    # near-maximizer is the required tie-break
+    # quaternions are in lexicographic order, so the first near-maximizer is
+    # the required tie-break
     best = int(np.argmax(payoffs >= payoffs.max() - ATOL))
-    return StrategyParams(*_candidate_params(grid)[best])
+    axes = (grid.theta_values(), grid.alpha_values(), grid.beta_values())
+    index = np.unravel_index(best, [len(axis) for axis in axes])
+    return StrategyParams(*(axis[i] for axis, i in zip(axes, index)))
 
 
 def verify_nash(

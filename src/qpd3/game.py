@@ -181,6 +181,11 @@ class PayoffTable:
         """All 8 payoffs of one player, in basis order (a read-only view)."""
         return self._columns[player_index(player)]
 
+    def expected(self, probs: np.ndarray) -> np.ndarray:
+        """Expected payoffs ``(N, 3)`` for ``(N, 8)`` outcome probabilities: one dot
+        per row and player, so a batch row equals the single-profile payoff bit for bit."""
+        return np.array([[row @ column for column in self._columns] for row in probs])
+
     def as_mapping(self) -> dict[str, list[float]]:
         return {o: list(row) for o, row in zip(OUTCOMES, self.entries)}
 
@@ -327,5 +332,5 @@ def expected_payoffs(
     probs = outcome_probabilities(
         config.gamma, config.delta, pa.as_tuple(), pb.as_tuple(), pc.as_tuple()
     )
-    return PayoffTriple(*(float(probs[0] @ config.payoffs.column(k)) for k in range(3)))
+    return PayoffTriple(*config.payoffs.expected(probs)[0].tolist())
 

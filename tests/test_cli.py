@@ -26,6 +26,26 @@ from qpd3.cli import (
 SECTIONS = {"inputs", "results", "fixtures-compared", "verdicts", "discrepancies"}
 
 
+def assert_usage_error(argv, tmp_path, capsys, *needles):
+    """``argv`` exits 2 with one ``error:`` line naming ``needles`` and writes nothing."""
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--out", str(out)])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert all(needle in captured.err for needle in needles)
+    assert not out.exists()
+
+
+def write_table(path: Path, rows: dict | None = None) -> Path:
+    """The classic payoff table as a ``--payoffs`` file, with ``rows`` replaced."""
+    entries = {**qpd3.DEFAULT_PAYOFF_TABLE.as_mapping(), **(rows or {})}
+    path.write_text(json.dumps(entries))
+    return path
+
+
 class TestAngleParsing:
     @pytest.mark.parametrize(
         "text,value",
@@ -171,6 +191,42 @@ class TestTableCommand:
         assert lines[0].startswith("codeword,theta_b,theta_c")
         assert len(lines) == 17  # header + 16 cells
 
+    def test_custom_table_is_not_compared_with_a_fixture(self, tmp_path):
+        # the fixtures hold the classic payoffs, so a custom table at a regime
+        # corner must not pick one up on its own
+        payoffs = write_table(tmp_path / "custom.json", {"000": [4, 4, 4]})
+        out = tmp_path / "table.json"
+        rc = main(["table", "--gamma", "0", "--delta", "0",
+                   "--payoffs", str(payoffs), "--out", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert doc["inputs"]["fixture"] is None
+        assert doc["fixtures-compared"] == {}
+        assert doc["verdicts"] == {}
+        assert doc["discrepancies"] == []
+        assert doc["results"]["table"]["rows"][0]["payoffs"][0] == [4.0, 4.0, 4.0]
+
+    def test_custom_table_is_compared_on_request(self, tmp_path):
+        payoffs = write_table(tmp_path / "custom.json", {"000": [4, 4, 4]})
+        out = tmp_path / "table.json"
+        rc = main(["table", "--gamma", "0", "--delta", "0", "--fixture", "table2",
+                   "--payoffs", str(payoffs), "--out", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert doc["inputs"]["fixture"] == "table2"
+        assert doc["verdicts"]["matches_fixture"] is False
+        assert len(doc["discrepancies"]) == 9
+
+    def test_classic_table_file_is_compared_like_the_default(self, tmp_path):
+        payoffs = write_table(tmp_path / "classic.json")
+        out = tmp_path / "table.json"
+        rc = main(["table", "--gamma", "0", "--delta", "pi/2",
+                   "--payoffs", str(payoffs), "--out", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert doc["inputs"]["fixture"] == "table3"
+        assert doc["verdicts"]["matches_fixture"] is True
+
     def test_table1_is_not_a_protocol_fixture(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["table", "--gamma", "0", "--delta", "0", "--fixture", "table1"])
@@ -194,6 +250,27 @@ class TestNashCommand:
         with pytest.raises(SystemExit) as excinfo:
             main(["nash", "--gamma", "0", "--delta", "0"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--alice", "0,0,0"], ["--bob", "0,0,0"], ["--charlie", "0,0,0"],
+         ["--gamma", "0"], ["--delta", "pi/2"]],
+        ids=["alice", "bob", "charlie", "gamma", "delta"],
+    )
+    def test_scan_rejects_profile_options(self, tmp_path, capsys, extra):
+        # --gamma 0 is the profile mode's default value, and is still rejected
+        argv = ["nash", "--scan", "--grid", "3,3,3", *extra]
+        assert_usage_error(argv, tmp_path, capsys, "--scan", extra[0])
+
+    def test_profile_angles_default_to_zero(self, tmp_path):
+        moves = ["--alice", "pi,0,pi/2", "--bob", "pi,0,pi/2", "--charlie", "pi,0,pi/2",
+                 "--grid", "3,3,3"]
+        docs = []
+        for angles in ([], ["--gamma", "0", "--delta", "0"]):
+            out = tmp_path / f"nash{len(angles)}.json"
+            assert main(["nash", *moves, *angles, "--out", str(out)]) == 0
+            docs.append(out.read_text())
+        assert docs[0] == docs[1]
 
     def test_scan_mode(self, tmp_path):
         out = tmp_path / "scan.json"
@@ -231,6 +308,16 @@ class TestCommCommands:
         with pytest.raises(SystemExit) as excinfo:
             main(["comm", "decode", "--common", "0,0", "--observed", "2,2"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--gamma", "0.3"], ["--delta", "0"], ["--payoffs", "table.json"]],
+        ids=["gamma", "delta", "payoffs"],
+    )
+    def test_decode_fixture_rejects_oracle_options(self, tmp_path, capsys, extra):
+        argv = ["comm", "decode", "--fixture", "table2", "--common", "0,0",
+                "--observed", "2,2", *extra]
+        assert_usage_error(argv, tmp_path, capsys, "--fixture", extra[0])
 
     def test_decode_unmatched_payoff_fails(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -191,6 +191,42 @@ class TestCompareToOracle:
         }
 
 
+#: Scalar draw bounds in stream order per move: theta, alpha, beta.
+MOVE_BOX = ((0.0, math.pi), (-math.pi, math.pi), (-math.pi, math.pi))
+
+
+class TestSamplers:
+    @pytest.mark.parametrize("seed", [5, 1729, 1730])
+    def test_sample_any_is_the_scalar_stream(self, seed):
+        gamma, delta, params = sample_any(np.random.default_rng(seed), 40)
+        assert (gamma.shape, delta.shape, params.shape) == ((40,), (40,), (40, 3, 3))
+        rng = np.random.default_rng(seed)
+        for g, d, moves in zip(gamma, delta, params):
+            assert g == rng.uniform(0.0, HALF_PI)
+            assert d == rng.uniform(0.0, HALF_PI)
+            for move in moves:
+                assert tuple(move) == tuple(rng.uniform(lo, hi) for lo, hi in MOVE_BOX)
+
+    @pytest.mark.parametrize("seed", [5, 1729, 1730])
+    def test_sample_classical_limit_is_the_scalar_stream(self, seed):
+        gamma, delta, params = sample_classical_limit(np.random.default_rng(seed), 40)
+        assert (gamma == 0.0).all() and (delta == 0.0).all()
+        assert params.shape == (40, 3, 3)
+        rng = np.random.default_rng(seed)
+        for moves in params:
+            for move in moves:
+                assert tuple(move) == tuple(rng.uniform(lo, hi) for lo, hi in MOVE_BOX)
+
+    def test_pure_moves_are_pure_and_in_the_box(self):
+        gamma, delta, params = sample_pure_moves(np.random.default_rng(3), 500)
+        assert params.shape == (500, 3, 3)
+        assert set(np.unique(params[..., 0])) == {0.0, math.pi}
+        assert ((-math.pi <= params[..., 1:]) & (params[..., 1:] <= math.pi)).all()
+        for angle in (gamma, delta):
+            assert angle.shape == (500,)
+            assert ((0.0 <= angle) & (angle <= HALF_PI)).all()
+
+
 def test_oracle_remains_canonical_far_from_corner(rng):
     # the printed expression is known to deviate; make sure we are honestly
     # measuring a deviation rather than accidentally comparing it to itself

@@ -136,9 +136,7 @@ class TestProtocolTable:
             for i, cw in enumerate(CODEWORDS):
                 for j, (tb, tc) in enumerate(COLUMNS):
                     want = expected_payoffs(config, cw.params, common_move(tb), common_move(tc))
-                    assert table.entry(i, j).as_tuple() == pytest.approx(
-                        want.as_tuple(), abs=1e-15
-                    )
+                    assert table.entry(i, j).as_tuple() == want.as_tuple()
 
     def test_payoffs_are_a_read_only_copy(self):
         source = np.ones((4, 4, 3))

@@ -19,7 +19,6 @@ from qpd3.equilibrium import (
     _POLAR_MOVES,
     MAX_GRID_POINTS,
     _batched_payoffs,
-    _candidate_params,
     _grid_quaternions,
     _payoff_form,
 )
@@ -29,6 +28,12 @@ from conftest import random_config, random_params, trace_rule_payoffs
 
 HALF_PI = math.pi / 2
 SMALL_GRID = GridSpec(5, 5, 5)
+
+
+def grid_moves(grid: GridSpec) -> np.ndarray:
+    """The grid's moves as ``(G, 3)`` rows, lexicographic in (theta, alpha, beta)."""
+    axes = np.meshgrid(grid.theta_values(), grid.alpha_values(), grid.beta_values(), indexing="ij")
+    return np.stack([axis.ravel() for axis in axes], axis=1)
 
 
 def quaternions_of(params) -> np.ndarray:
@@ -120,7 +125,7 @@ class TestBatchedKernel:
     def test_grid_quaternions_follow_candidate_order(self, grid):
         quats = _grid_quaternions(grid)
         assert quats.shape == (grid.size(), 4)
-        read_off = quaternions_of(_candidate_params(grid))
+        read_off = quaternions_of(grid_moves(grid))
         assert np.allclose(quats, read_off, rtol=0.0, atol=1e-15)
 
     def test_grid_path_matches_trace_rule(self, rng):
@@ -138,7 +143,7 @@ class TestBatchedKernel:
                 assert abs(got - trace_rule_payoffs(config, *profile)[player]) < 1e-12
 
     def test_candidates_are_lexicographic(self):
-        pts = _candidate_params(SMALL_GRID)
+        pts = grid_moves(SMALL_GRID)
         assert pts.shape == (SMALL_GRID.size(), 3)
         rows = [tuple(p) for p in pts]
         assert rows == sorted(set(rows))
@@ -218,6 +223,19 @@ class TestBestResponse:
         br = best_response("A", (defect(), defect()), GameConfig(0, 0), GridSpec())
         assert br.theta == math.pi
         assert (br.alpha, br.beta) == (-math.pi, -math.pi)  # lexicographic tie-break
+
+    def test_argmax_is_read_off_the_lexicographic_grid(self, rng):
+        # best_response unravels its argmax over the three axes; the reference
+        # indexes the meshgrid rows with the same first-near-maximum rule
+        reference = grid_moves(SMALL_GRID)
+        for trial in range(12):
+            player = trial % 3
+            config = GameConfig(rng.uniform(0, HALF_PI), rng.uniform(0, HALF_PI))
+            others = (random_params(rng), random_params(rng))
+            payoffs = _batched_payoffs(player, _grid_quaternions(SMALL_GRID), others, config)
+            want = reference[np.argmax(payoffs >= payoffs.max() - 1e-12)]
+            got = best_response(player, others, config, SMALL_GRID)
+            assert got.as_tuple() == tuple(want)
 
     def test_defection_dominates_against_cooperators(self):
         br = best_response("B", (cooperate(), cooperate()), GameConfig(0, 0), GridSpec())
