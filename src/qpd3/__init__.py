@@ -25,7 +25,6 @@ from .game import (
     outcome_probabilities,
 )
 from .closedform import (
-    ClosedFormTerms,
     ComparisonReport,
     closed_form_payoffs,
     compare_to_oracle,
@@ -69,7 +68,7 @@ __all__ = [
     "DEFAULT_PAYOFF_TABLE", "GameConfig", "moves", "measurement_basis",
     "outcome_probabilities", "expected_payoffs",
     # closedform
-    "ClosedFormTerms", "ComparisonReport", "closed_form_payoffs",
+    "ComparisonReport", "closed_form_payoffs",
     "max_entanglement_payoffs", "compare_to_oracle", "sample_any",
     "sample_classical_limit", "sample_pure_moves",
     # equilibrium

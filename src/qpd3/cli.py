@@ -10,6 +10,9 @@ Subcommands:
   check fails (documented discrepancies with the published tables are
   expected output, not failures).
 
+Each subcommand parses its options, makes its library call and renders the
+result; the checks themselves live in the library (:mod:`qpd3.verify`).
+
 Angles are accepted as rational multiples of pi ("pi/3", "-pi", "3pi/4") or
 as plain radian numbers.  Only ``verify`` draws random numbers, from
 ``--seed`` (default ``DEFAULT_SEED``); reports for a fixed (config, seed)
@@ -29,43 +32,29 @@ import sys
 import tempfile
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__
-from .closedform import (
-    compare_to_oracle,
-    sample_any,
-    sample_classical_limit,
-)
+from .closedform import compare_to_oracle  # unused; bench/test_smoke.py pins this binding
 from .comms import (
     COLUMNS,
     CODEWORDS,
-    REGIME_FIXTURES,
     ObservationModel,
-    ProtocolTable,
+    auto_fixture,
     decode,
-    fixture_regime_tables,
+    fixture_diff,
     fixture_table,
-    info_relation_report,
     information_bits,
-    oracle_regime_tables,
     protocol_table,
 )
 from .equilibrium import GridSpec, Profile, four_case_scan, verify_nash
 from .game import (
-    _PARAM_HI,
-    _PARAM_LO,
-    ATOL,
     DEFAULT_PAYOFF_TABLE,
     OUTCOMES,
-    PAYOFF_TOL,
-    REGIMES,
     GameConfig,
     PayoffTable,
     StrategyParams,
-    measurement_basis,
     outcome_probabilities,
 )
+from .verify import build_verify_bundle, checks, report_doc
 
 #: Default RNG seed of ``verify``; override with --seed.
 DEFAULT_SEED = 1729
@@ -155,16 +144,6 @@ def atomic_write(path: str, data: str) -> None:
         raise
 
 
-def _report_doc(inputs: dict, results: dict, fixtures_compared=None, verdicts=None, discrepancies=None) -> dict:
-    return {
-        "inputs": inputs,
-        "results": results,
-        "fixtures-compared": fixtures_compared if fixtures_compared is not None else {},
-        "verdicts": verdicts if verdicts is not None else {},
-        "discrepancies": discrepancies if discrepancies is not None else [],
-    }
-
-
 def render_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -203,7 +182,7 @@ def cmd_payoff(args) -> int:
     profile = (parse_params(args.alice), parse_params(args.bob), parse_params(args.charlie))
     probs = outcome_probabilities(config.gamma, config.delta, *(p.as_tuple() for p in profile))
     payoffs = config.payoffs.expected(probs)[0].tolist()
-    doc = _report_doc(
+    doc = report_doc(
         inputs={
             "command": "payoff",
             "gamma": config.gamma,
@@ -224,68 +203,14 @@ def cmd_payoff(args) -> int:
     return 0
 
 
-def _table_fixture_diff(oracle: ProtocolTable, fixture: ProtocolTable):
-    """Per-entry deltas between an oracle table and a published fixture."""
-    deltas = oracle.payoffs - fixture.payoffs
-    compared = []
-    discrepancies = []
-    for i, cw in enumerate(CODEWORDS):
-        for j, col in enumerate(COLUMNS):
-            delta = deltas[i, j].tolist()
-            compared.append(
-                {
-                    "codeword": cw.bits,
-                    "column": list(col),
-                    "oracle": oracle.payoffs[i, j].tolist(),
-                    "published": fixture.payoffs[i, j].tolist(),
-                    "delta": delta,
-                }
-            )
-            if (np.abs(deltas[i, j]) > PAYOFF_TOL).any():
-                discrepancies.append(
-                    {
-                        "what": f"oracle vs {fixture.label}",
-                        "codeword": cw.bits,
-                        "column": list(col),
-                        "delta": delta,
-                    }
-                )
-    return compared, discrepancies
-
-
-def _auto_fixture(gamma: float, delta: float) -> str | None:
-    for case, (g, d) in REGIMES.items():
-        if abs(gamma - g) <= ATOL and abs(delta - d) <= ATOL:
-            return REGIME_FIXTURES[case]
-    return None
-
-
 def cmd_table(args) -> int:
     gamma, delta = parse_angle(args.gamma), parse_angle(args.delta)
     table = _table_for(args)
     oracle = protocol_table(gamma, delta, table)
 
-    # The fixtures hold the classic payoffs; another table is compared only on request.
-    auto = _auto_fixture(gamma, delta) if table == DEFAULT_PAYOFF_TABLE else None
-    fixture_name = args.fixture or auto
-    fixtures = {}
-    discrepancies = []
-    verdicts = {}
-    if fixture_name:
-        fixture = fixture_table(fixture_name)
-        compared, discrepancies = _table_fixture_diff(oracle, fixture)
-        fixtures[fixture_name] = compared
-        verdicts["matches_fixture"] = not discrepancies
-
-    doc = _report_doc(
-        inputs={"command": "table", "gamma": gamma, "delta": delta, "fixture": fixture_name},
-        results={"table": oracle.to_record()},
-        fixtures_compared=fixtures,
-        verdicts=verdicts,
-        discrepancies=discrepancies,
-    )
-
     if args.format == "csv":
+        # A CSV holds the table alone; it has no room for a fixture comparison.
+        _reject_given(args, "table --format csv", ("fixture",))
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["codeword", "theta_b", "theta_c", "alice", "bob", "charlie"])
@@ -295,10 +220,26 @@ def cmd_table(args) -> int:
                     [cw.bits, f"{col[0]:.10g}", f"{col[1]:.10g}"]
                     + [f"{x:.12g}" for x in oracle.entry(i, j).as_tuple()]
                 )
-        payload = buf.getvalue()
-    else:
-        payload = render_json(doc)
-    _emit(args, payload)
+        _emit(args, buf.getvalue())
+        return 0
+
+    fixture_name = args.fixture or auto_fixture(gamma, delta, table)
+    fixtures = {}
+    discrepancies = []
+    verdicts = {}
+    if fixture_name:
+        compared, discrepancies = fixture_diff(oracle, fixture_table(fixture_name))
+        fixtures[fixture_name] = compared
+        verdicts["matches_fixture"] = not discrepancies
+
+    doc = report_doc(
+        inputs={"command": "table", "gamma": gamma, "delta": delta, "fixture": fixture_name},
+        results={"table": oracle.to_record()},
+        fixtures_compared=fixtures,
+        verdicts=verdicts,
+        discrepancies=discrepancies,
+    )
+    _emit(args, render_json(doc))
     return 0
 
 
@@ -309,7 +250,7 @@ def cmd_nash(args) -> int:
         _reject_given(args, "nash --scan", ("alice", "bob", "charlie", "gamma", "delta"))
         scan = four_case_scan(table, grid)
         record = scan.to_record()
-        doc = _report_doc(
+        doc = report_doc(
             inputs={"command": "nash", "mode": "scan", "grid": grid.to_record()},
             results=record,
             verdicts={
@@ -329,7 +270,7 @@ def cmd_nash(args) -> int:
             parse_params(args.alice), parse_params(args.bob), parse_params(args.charlie)
         )
         report = verify_nash(profile, config, grid)
-        doc = _report_doc(
+        doc = report_doc(
             inputs={
                 "command": "nash",
                 "mode": "profile",
@@ -379,7 +320,7 @@ def cmd_comm_simulate(args) -> int:
         name: information_bits(table, ObservationModel(visible=vis))
         for name, vis in _MODEL_VISIBLE.items()
     }
-    doc = _report_doc(
+    doc = report_doc(
         inputs={
             "command": "comm simulate",
             "gamma": gamma,
@@ -415,7 +356,7 @@ def cmd_comm_decode(args) -> int:
     for cw in result.candidates:
         alice_payoffs[cw.bits] = table.entry(CODEWORDS.index(cw), col).alice
 
-    doc = _report_doc(
+    doc = report_doc(
         inputs={
             "command": "comm decode",
             "table": table.label,
@@ -441,198 +382,13 @@ def cmd_comm_decode(args) -> int:
     return 0
 
 
-# --------------------------------------------------------------------------
-# verify bundle
-
-
-def _check(name: str, ok: bool, detail: dict) -> dict:
-    return {"check": name, "pass": bool(ok), **detail}
-
-
-def _checks(results: dict) -> list[tuple[str, bool]]:
-    """Each hard check among a bundle's ``results`` and whether it passed, in order."""
-    return [(name, e["pass"]) for name, e in results.items() if isinstance(e, dict) and "pass" in e]
-
-
-def build_verify_bundle(seed: int) -> tuple[dict, list]:
-    """Run every verification check; returns (report doc, hard failure names)."""
-    grid = GridSpec()
-    rng = np.random.default_rng(seed)
-    table = DEFAULT_PAYOFF_TABLE
-    results: dict = {}
-    verdicts: dict = {}
-    discrepancies: list = []
-
-    # Classical limit: pure strategies at gamma = delta = 0 reproduce the
-    # base payoff table no matter the phases; 10 random-phase profiles per
-    # outcome, drawn as (alpha, beta) per player.
-    bits = np.repeat(np.arange(8), 10)
-    defects = (bits[:, None] >> np.array([2, 1, 0])) & 1
-    profiles = np.empty((80, 3, 3))
-    profiles[..., 0] = math.pi * defects
-    profiles[..., 1:] = rng.uniform(_PARAM_LO[1:], _PARAM_HI[1:], size=(80, 3, 2))
-    probs = outcome_probabilities(0.0, 0.0, *profiles.transpose(1, 0, 2))
-    worst = float(np.max(np.abs(table.expected(probs) - np.array(table.entries)[bits])))
-    results["classical_limit"] = _check("classical_limit", worst <= ATOL, {"max_abs_error": worst})
-
-    # Measurement basis: orthonormal and complete across a delta sweep.
-    worst_gram = worst_sum = 0.0
-    for delta in np.linspace(0.0, math.pi / 2, 50):
-        basis = np.stack(measurement_basis(float(delta)))
-        gram = basis.conj() @ basis.T
-        worst_gram = max(worst_gram, float(np.max(np.abs(gram - np.eye(8)))))
-        proj_sum = sum(np.outer(v, v.conj()) for v in basis)
-        worst_sum = max(worst_sum, float(np.max(np.abs(proj_sum - np.eye(8)))))
-    results["basis_completeness"] = _check(
-        "basis_completeness",
-        worst_gram <= ATOL and worst_sum <= ATOL,
-        {"max_gram_error": worst_gram, "max_projector_sum_error": worst_sum},
-    )
-
-    # Born conservation over 1000 seeded draws of the whole space.  The kernel
-    # itself raises once a row misses 1 by more than ATOL, so that error is
-    # this check's failure.
-    gamma, delta, params = sample_any(rng, 1000)
-    try:
-        probs = outcome_probabilities(gamma, delta, *params.transpose(1, 0, 2))
-    except ValueError as exc:
-        born = {"error": str(exc)}
-    else:
-        born = {"max_abs_sum_error": float(np.max(np.abs(probs.sum(axis=1) - 1.0)))}
-    results["born_conservation"] = _check("born_conservation", "error" not in born, born)
-
-    # Four-regime scan: the PP and EE values are analytically forced; the
-    # mixed-regime bound and equality claims are measured verdicts.
-    scan = four_case_scan(table, grid)
-    scan_record = scan.to_record()
-    results["regimes"] = scan_record
-    pp = scan.report_for("PP").payoff
-    ee = scan.report_for("EE").payoff
-    results["pp_value"] = _check(
-        "pp_value",
-        max(abs(x - 1.0) for x in pp.as_tuple()) <= PAYOFF_TOL,
-        {"payoff": list(pp.as_tuple())},
-    )
-    results["ee_value"] = _check(
-        "ee_value",
-        max(abs(x - 3.0) for x in ee.as_tuple()) <= PAYOFF_TOL,
-        {"payoff": list(ee.as_tuple())},
-    )
-    results["pp_nash"] = _check(
-        "pp_nash", scan.report_for("PP").is_nash, {"gaps": list(scan.report_for("PP").gaps)}
-    )
-    verdicts["ordering"] = scan_record["ordering"]
-    verdicts["bound_checks"] = scan_record["bound_checks"]
-    for b in scan_record["bound_checks"]:
-        if not b["holds"]:
-            discrepancies.append({"what": "mixed-regime payoff bound", **b})
-    if not scan_record["ordering"]["pe_eq_ep"]:
-        discrepancies.append(
-            {"what": "PE = EP equality", "gap": scan_record["ordering"]["pe_eq_ep_gap"]}
-        )
-
-    # Closed form vs oracle.
-    restricted = compare_to_oracle(sample_classical_limit, 1000, seed=seed)
-    unrestricted = compare_to_oracle(sample_any, 1000, seed=seed + 1)
-    results["closed_form_classical"] = _check(
-        "closed_form_classical",
-        restricted.max_abs_delta < PAYOFF_TOL,
-        {"max_abs_delta": restricted.max_abs_delta},
-    )
-    unrestricted_record = unrestricted.to_record()
-    deltas = sorted(max(s.delta_abs) for s in unrestricted.samples)
-    unrestricted_record["delta_distribution"] = {
-        "per_sample_max_abs_delta": deltas,
-        "quantiles": {
-            f"p{q:02d}": deltas[(len(deltas) - 1) * q // 100] for q in (5, 25, 50, 75, 95)
-        },
-    }
-    unrestricted_record["note"] = (
-        "deltas documented, not asserted; the printed expression carries suspected typos"
-    )
-    results["closed_form_unrestricted"] = unrestricted_record
-
-    # Worked signaling examples against the published table.
-    t2 = fixture_table("table2")
-    model = ObservationModel(visible="bob-and-charlie")
-    d1 = decode(t2, (0.0, 0.0), (2.0, 2.0), model)
-    d2 = decode(t2, (math.pi, math.pi), (4.0, 4.0), model)
-    ok1 = [c.bits for c in d1.candidates] == ["11"] and t2.entry(3, 0).alice == 5.0
-    ok2 = [c.bits for c in d2.candidates] == ["00"] and t2.entry(0, 3).alice == 0.0
-    results["decode_examples"] = _check(
-        "decode_examples",
-        ok1 and ok2,
-        {
-            "common_0_observed_2_2": d1.to_record(),
-            "common_pi_observed_4_4": d2.to_record(),
-        },
-    )
-
-    # Oracle tables vs published fixtures, per regime.
-    fixtures_compared = {}
-    oracle_tables = oracle_regime_tables(table)
-    for case, fixture_name in REGIME_FIXTURES.items():
-        compared, diffs = _table_fixture_diff(oracle_tables[case], fixture_table(fixture_name))
-        fixtures_compared[f"{case}:{fixture_name}"] = compared
-        for d in diffs:
-            discrepancies.append({"regime": case, **d})
-
-    # Information metric under all three observation models, both sources.
-    info_records = []
-    table2_full = None
-    for visible in ("own", "bob-and-charlie", "full-triple"):
-        m = ObservationModel(visible=visible)
-        oracle_rep = info_relation_report(oracle_tables, m)
-        fixture_rep = info_relation_report(fixture_regime_tables(), m)
-        info_records.append(oracle_rep.to_record())
-        info_records.append(fixture_rep.to_record())
-        if visible == "full-triple":
-            table2_full = information_bits(t2, m)
-    results["information"] = info_records
-    results["table2_full_bits"] = _check(
-        "table2_full_bits", table2_full == 2.0, {"bits": table2_full}
-    )
-    verdicts["information_relation"] = [
-        {"source": r["source"], "model": r["model"]["visible"], **r["verdicts"]}
-        for r in info_records
-    ]
-    for r in info_records:
-        if not r["verdicts"]["relation_holds"]:
-            discrepancies.append(
-                {
-                    "what": "information relation {PP=EE} > {PE=EP}",
-                    "source": r["source"],
-                    "model": r["model"]["visible"],
-                    "values": r["values"],
-                }
-            )
-
-    hard = [name for name, ok in _checks(results) if not ok]
-    verdicts["hard_failures"] = hard
-    doc = _report_doc(
-        inputs={
-            "command": "verify",
-            "seed": seed,
-            "grid": grid.to_record(),
-            "version": __version__,
-            "tolerances": {"algebraic": ATOL, "payoff": PAYOFF_TOL},
-        },
-        results=results,
-        fixtures_compared=fixtures_compared,
-        verdicts=verdicts,
-        discrepancies=discrepancies,
-    )
-    return doc, hard
-
-
 def cmd_verify(args) -> int:
     doc, hard = build_verify_bundle(args.seed)
     _emit(args, render_json(doc))
-    for name, ok in _checks(doc["results"]):
+    for name, ok in checks(doc["results"]):
         sys.stderr.write(f"{'pass' if ok else 'FAIL'}  {name}\n")
-    n_disc = len(doc["discrepancies"])
     sys.stderr.write(
-        f"{len(hard)} hard failure(s); {n_disc} documented discrepancy record(s)\n"
+        f"{len(hard)} hard failure(s); {len(doc['discrepancies'])} documented discrepancy record(s)\n"
     )
     return 1 if hard else 0
 

@@ -37,57 +37,27 @@ from .game import (
 Sampler = Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
-@dataclass(frozen=True)
-class ClosedFormTerms:
-    """Shared trigonometric ingredients of the closed form.
+def _closed_form(gamma, delta, params, table: PayoffTable) -> np.ndarray:
+    """Printed closed form, ``(n, 3)``, transcribed term-for-term.
 
-    Each field is a scalar or an array holding one value per sample, as the
-    angles passed to :meth:`from_angles` are.  Identities that hold by
-    construction: ``eta1 + eta2 == 1``, ``c[k] + s[k] == 1`` per player, and
-    ``|xi| <= 1/2``.
+    ``gamma`` and ``delta`` are scalars or hold one angle per sample,
+    ``params`` holds the ``(n, 3, 3)`` player-by-(theta, alpha, beta) angles.
+    Every term is an ``(n, 1)`` column and each ``d[outcome]`` the three
+    players' payoffs, so one pass yields all three players.  The repeated
+    ``sin(tb)`` in the final four terms is intentional: it is what the
+    published expression literally says, and the whole point of this
+    evaluator is to measure that expression against the oracle.
     """
-
-    eta1: np.ndarray
-    eta2: np.ndarray
-    xi: np.ndarray
-    c: tuple[np.ndarray, np.ndarray, np.ndarray]
-    s: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-    @classmethod
-    def from_angles(cls, gamma, delta, thetas) -> "ClosedFormTerms":
-        """Terms for scalar or same-shape array ``gamma``, ``delta`` and three ``thetas``."""
-        cg, sg = np.cos(gamma / 2) ** 2, np.sin(gamma / 2) ** 2
-        cd, sd = np.cos(delta / 2) ** 2, np.sin(delta / 2) ** 2
-        return cls(
-            eta1=cg * cd + sg * sd,
-            eta2=sg * cd + sd * cg,
-            xi=0.5 * np.sin(delta) * np.sin(gamma),
-            c=tuple(np.cos(t / 2) ** 2 for t in thetas),
-            s=tuple(np.sin(t / 2) ** 2 for t in thetas),
-        )
-
-
-def _closed_form_player(
-    dollars: dict[str, np.ndarray],
-    terms: ClosedFormTerms,
-    gamma: np.ndarray,
-    delta: np.ndarray,
-    params: np.ndarray,
-) -> np.ndarray:
-    """One player's payoff per sample, transcribed term-for-term from the printed form.
-
-    ``gamma`` and ``delta`` hold one angle per sample, ``params`` the
-    ``(n, 3, 3)`` player-by-(theta, alpha, beta) angles and ``dollars`` maps
-    each outcome to the player's payoff.  The repeated ``sin(tb)``
-    in the final four terms is intentional: it is what the published
-    expression literally says, and the whole point of this evaluator is to
-    measure that expression against the oracle.
-    """
-    d = dollars
-    eta1, eta2, xi = terms.eta1, terms.eta2, terms.xi
-    ca, cb, cc = terms.c
-    sa, sb, sc = terms.s
-    (ta, aa, ba), (tb, ab, bb), (tc, ac, bc) = np.moveaxis(params, 0, -1)
+    d = dict(zip(OUTCOMES, np.array(table.entries)))
+    gamma, delta = np.reshape(gamma, (-1, 1)), np.reshape(delta, (-1, 1))
+    (ta, aa, ba), (tb, ab, bb), (tc, ac, bc) = np.moveaxis(params[..., None], 0, -2)
+    cg, sg = np.cos(gamma / 2) ** 2, np.sin(gamma / 2) ** 2
+    cd, sd = np.cos(delta / 2) ** 2, np.sin(delta / 2) ** 2
+    eta1 = cg * cd + sg * sd
+    eta2 = sg * cd + sd * cg
+    xi = 0.5 * np.sin(delta) * np.sin(gamma)
+    ca, cb, cc = (np.cos(t / 2) ** 2 for t in (ta, tb, tc))
+    sa, sb, sc = (np.sin(t / 2) ** 2 for t in (ta, tb, tc))
 
     total = ca * cb * cc * (
         eta1 * d["000"] + eta2 * d["111"]
@@ -145,13 +115,6 @@ def _closed_form_player(
     total += block * 0.125 * (np.cos(gamma / 2) ** 2 - np.sin(gamma / 2) ** 2)
 
     return total
-
-
-def _closed_form(gamma, delta, params, table: PayoffTable) -> np.ndarray:
-    """Printed closed form, ``(n, 3)``, at scalar or ``(n,)`` angles and ``(n, 3, 3)`` moves."""
-    terms = ClosedFormTerms.from_angles(gamma, delta, tuple(params[:, :, 0].T))
-    dollars = [dict(zip(OUTCOMES, table.column(k))) for k in range(3)]
-    return np.stack([_closed_form_player(d, terms, gamma, delta, params) for d in dollars], 1)
 
 
 def closed_form_payoffs(

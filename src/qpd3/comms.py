@@ -6,9 +6,10 @@ beta = pi/2 and to theta in {0, pi}, and agree beforehand to play a common
 move.  After the arbiter announces payoffs, they look their observed payoffs
 up in the protocol table, one ``(4, 4, 3)`` array of payoffs by codeword,
 move-pair column and player, to recover Alice's codeword: dense-coding-like
-signaling where the strategy itself is the carrier.  Decoding and the
-information metric read that array through one rule, ``_matches``: an
-observation matches an entry when each visible payoff is within ``PAYOFF_TOL``.
+signaling where the strategy itself is the carrier.  Decoding, the
+information metric and the fixture diff read that array through one rule,
+``_matches``: an observation matches an entry when each visible payoff is
+within ``PAYOFF_TOL``.
 
 Tables come in two provenances: ``oracle`` tables computed by the trace
 rule, and ``published`` fixtures reproducing the corresponding printed
@@ -92,7 +93,8 @@ class ObservationModel:
 
 def _matches(entries: np.ndarray, observed) -> np.ndarray:
     """Whether every visible payoff in the last axis of ``entries`` is within
-    ``PAYOFF_TOL`` of ``observed``: decoding and the information metric match by it."""
+    ``PAYOFF_TOL`` of ``observed``: decoding, the information metric and the
+    fixture diff match by it."""
     return (np.abs(entries - observed) <= PAYOFF_TOL).all(axis=-1)
 
 
@@ -255,6 +257,45 @@ def fixture_table(table_id: str) -> ProtocolTable:
         delta=None,
         payoffs=_FIXTURES[table_id],
     )
+
+
+def auto_fixture(gamma: float, delta: float, table: PayoffTable) -> str | None:
+    """The fixture a table at a regime's angles is compared with unasked.  The fixtures
+    hold the classic payoffs, so another table is compared only with a named fixture."""
+    for case, (g, d) in REGIMES.items():
+        if table == DEFAULT_PAYOFF_TABLE and abs(gamma - g) <= ATOL and abs(delta - d) <= ATOL:
+            return REGIME_FIXTURES[case]
+    return None
+
+
+def fixture_diff(oracle: ProtocolTable, fixture: ProtocolTable) -> tuple[list, list]:
+    """Per-entry deltas between an oracle table and a published fixture, and a
+    discrepancy record for each entry that does not match by ``_matches``."""
+    deltas = oracle.payoffs - fixture.payoffs
+    compared = []
+    discrepancies = []
+    for i, cw in enumerate(CODEWORDS):
+        for j, col in enumerate(COLUMNS):
+            delta = deltas[i, j].tolist()
+            compared.append(
+                {
+                    "codeword": cw.bits,
+                    "column": list(col),
+                    "oracle": oracle.payoffs[i, j].tolist(),
+                    "published": fixture.payoffs[i, j].tolist(),
+                    "delta": delta,
+                }
+            )
+            if not _matches(oracle.payoffs[i, j], fixture.payoffs[i, j]):
+                discrepancies.append(
+                    {
+                        "what": f"oracle vs {fixture.label}",
+                        "codeword": cw.bits,
+                        "column": list(col),
+                        "delta": delta,
+                    }
+                )
+    return compared, discrepancies
 
 
 def decode(

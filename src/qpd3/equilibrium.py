@@ -43,8 +43,8 @@ from .game import (
     player_index,
 )
 
-_THETA_ANCHORS = (0.0, math.pi / 2, math.pi)
-_PHASE_ANCHORS = (-math.pi, 0.0, math.pi / 2, math.pi)
+_THETA_ANCHORS = np.array([0.0, math.pi / 2, math.pi])
+_PHASE_ANCHORS = np.array([-math.pi, 0.0, math.pi / 2, math.pi])
 
 #: Largest grid a ``GridSpec`` accepts, in points per player.  A best-response
 #: pass holds about 80 bytes per candidate at its peak (tracemalloc over
@@ -71,12 +71,13 @@ _POLAR_MOVES = np.array(
 )
 
 
-def _grid_axis(count: int, lo: float, hi: float, anchors: tuple[float, ...]) -> np.ndarray:
+def _grid_axis(count: int, lo: float, hi: float, anchors: np.ndarray) -> np.ndarray:
     if count < 2:
         raise ValueError("grid axes need at least 2 points")
     pts = np.linspace(lo, hi, count)
-    merged = np.union1d(pts, np.array(anchors))
-    return merged
+    # A linspace point an ulp off an anchor would be a second copy of it.
+    pts = pts[np.abs(pts[:, None] - anchors).min(axis=1) > ATOL]
+    return np.sort(np.concatenate([pts, anchors]))
 
 
 @dataclass(frozen=True)
@@ -406,7 +407,7 @@ def four_case_scan(
         "values": {"PP": pp_value, "PE": pe_value, "EP": ep_value, "EE": ee_value},
         "pp_lt_pe": pp_value < pe_value - PAYOFF_TOL,
         "pe_eq_ep_gap": pe_ep_gap,
-        "pe_eq_ep": pe_ep_gap < PAYOFF_TOL,
+        "pe_eq_ep": pe_ep_gap <= PAYOFF_TOL,
         "ep_lt_ee": ep_value < ee_value - PAYOFF_TOL,
         "pp_lt_ee": pp_value < ee_value - PAYOFF_TOL,
     }

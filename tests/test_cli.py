@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import qpd3
+import qpd3.verify
 from qpd3.cli import (
     DEFAULT_SEED,
     UsageError,
@@ -190,6 +191,11 @@ class TestTableCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("codeword,theta_b,theta_c")
         assert len(lines) == 17  # header + 16 cells
+
+    def test_csv_rejects_a_named_fixture(self, tmp_path, capsys):
+        # a CSV holds the table alone, so the comparison asked for would be dropped
+        argv = ["table", "--gamma", "0", "--delta", "0", "--format", "csv", "--fixture", "table2"]
+        assert_usage_error(argv, tmp_path, capsys, "--format csv", "--fixture")
 
     def test_custom_table_is_not_compared_with_a_fixture(self, tmp_path):
         # the fixtures hold the classic payoffs, so a custom table at a regime
@@ -427,14 +433,14 @@ class TestVerify:
         assert doc["verdicts"]["hard_failures"] == []
 
     def test_born_conservation_failure_is_reported(self, monkeypatch, tmp_path, capsys):
-        kernel = qpd3.cli.outcome_probabilities
+        kernel = qpd3.verify.outcome_probabilities
 
         def failing_on_per_row_angles(gamma, delta, *players):
             if np.ndim(gamma) == 1:
                 raise ValueError("outcome probabilities sum to 1 +- 0.5, beyond 1e-12")
             return kernel(gamma, delta, *players)
 
-        monkeypatch.setattr(qpd3.cli, "outcome_probabilities", failing_on_per_row_angles)
+        monkeypatch.setattr(qpd3.verify, "outcome_probabilities", failing_on_per_row_angles)
         doc, hard = build_verify_bundle(DEFAULT_SEED)
         record = doc["results"]["born_conservation"]
         assert record["pass"] is False

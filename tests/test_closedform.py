@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qpd3 import (
-    ClosedFormTerms,
     GameConfig,
     StrategyParams,
     closed_form_payoffs,
@@ -20,17 +19,6 @@ from qpd3.game import DEFAULT_PAYOFF_TABLE
 from conftest import classical_payoff, random_params
 
 HALF_PI = math.pi / 2
-
-
-def test_terms_identities_on_grid():
-    for gamma in np.linspace(0, HALF_PI, 20):
-        for delta in np.linspace(0, HALF_PI, 20):
-            for theta in np.linspace(0, math.pi, 20):
-                t = ClosedFormTerms.from_angles(float(gamma), float(delta), (theta,) * 3)
-                assert abs(t.eta1 + t.eta2 - 1.0) < 1e-12
-                assert abs(t.xi) <= 0.5 + 1e-15
-                for c, s in zip(t.c, t.s):
-                    assert abs(c + s - 1.0) < 1e-12
 
 
 def test_collapses_to_classical_at_product_corner(rng):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ import pytest
 import qpd3
 from qpd3 import (
     DEFAULT_PAYOFF_TABLE,
+    REGIMES,
     GameConfig,
     GridSpec,
+    PayoffTriple,
     Profile,
     StrategyParams,
     best_response,
@@ -22,7 +25,7 @@ from qpd3.equilibrium import (
     _grid_quaternions,
     _payoff_form,
 )
-from qpd3.game import moves
+from qpd3.game import ATOL, PAYOFF_TOL, moves
 
 from conftest import random_config, random_params, trace_rule_payoffs
 
@@ -77,6 +80,20 @@ class TestGridSpec:
         assert len(grid.theta_values()) == 25
         assert len(grid.alpha_values()) == 17
         assert len(grid.beta_values()) == 17
+
+    def test_every_anchor_once_and_no_near_duplicates(self):
+        # a linspace point an ulp off an anchor once stayed beside it:
+        # GridSpec(51, 2, 2) held both pi/2 and 1.5707963267948968
+        phase_anchors = (-math.pi, 0.0, HALF_PI, math.pi)
+        for count in range(2, 401):
+            for axis, anchors in (
+                (GridSpec(count, 2, 2).theta_values(), (0.0, HALF_PI, math.pi)),
+                (GridSpec(2, count, 2).alpha_values(), phase_anchors),
+                (GridSpec(2, 2, count).beta_values(), phase_anchors),
+            ):
+                assert np.all(np.diff(axis) > ATOL), count
+                assert [np.count_nonzero(axis == a) for a in anchors] == [1] * len(anchors), count
+        assert GridSpec(51, 2, 2).size() == 51 * 4 * 4
 
     def test_rejects_tiny_axes(self):
         with pytest.raises(ValueError):
@@ -369,6 +386,21 @@ class TestFourCaseScan:
         assert ordering["ep_lt_ee"]
         assert ordering["pp_lt_ee"]
         assert ordering["chain_holds"]
+
+    def test_pe_eq_ep_holds_at_the_tolerance(self, monkeypatch):
+        # "equal within PAYOFF_TOL" takes in a gap of exactly PAYOFF_TOL
+        original = qpd3.equilibrium.verify_nash
+        levels = {REGIMES["PE"]: 0.0, REGIMES["EP"]: PAYOFF_TOL}
+
+        def stub(profile, config, grid):
+            report = original(profile, config, grid)
+            level = levels.get((config.gamma, config.delta))
+            return report if level is None else replace(report, payoff=PayoffTriple(*[level] * 3))
+
+        monkeypatch.setattr(qpd3.equilibrium, "verify_nash", stub)
+        ordering = four_case_scan(grid=SMALL_GRID).ordering
+        assert ordering["pe_eq_ep_gap"] == PAYOFF_TOL
+        assert ordering["pe_eq_ep"] is True
 
     def test_bound_checks_document_the_violation(self, scan):
         by_key = {(b.case, round(b.theta, 6)): b for b in scan.bounds}

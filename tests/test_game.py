@@ -395,7 +395,7 @@ def test_tolerances_are_named_once():
 
 #: Every public name of the package; a new or removed export must update this.
 PUBLIC_NAMES = """
-    CODEWORDS COLUMNS ClosedFormTerms Codeword ComparisonReport DEFAULT_PAYOFF_TABLE
+    CODEWORDS COLUMNS Codeword ComparisonReport DEFAULT_PAYOFF_TABLE
     DecodeResult EquilibriumReport FourCaseScan GameConfig GridSpec InfoRelationReport
     OUTCOMES ObservationModel PLAYERS PayoffTable PayoffTriple Profile ProtocolTable
     REGIMES REGIME_FIXTURES StrategyParams __version__ best_response closed_form_payoffs
@@ -409,6 +409,6 @@ PUBLIC_NAMES = """
 
 def test_public_surface_is_pinned():
     assert sorted(qpd3.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 44
+    assert len(PUBLIC_NAMES) == 43
     for name in PUBLIC_NAMES:
         getattr(qpd3, name)
