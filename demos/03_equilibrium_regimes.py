@@ -31,10 +31,10 @@ def main():
 
     print("\n'Payoff below 3' verdicts at the stated mixed-regime profiles:")
     for check in scan.bounds:
-        status = "holds" if check.holds else "VIOLATED (documented)"
+        status = "holds" if check["holds"] else "VIOLATED (documented)"
         print(
-            f"  {check.case} at theta={check.theta:.4f}: "
-            f"max payoff {max(check.payoff):.4f} -> {status}"
+            f"  {check['case']} at theta={check['theta']:.4f}: "
+            f"max payoff {check['max_component']:.4f} -> {status}"
         )
 
     ordering = scan.ordering

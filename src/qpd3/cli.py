@@ -119,15 +119,20 @@ def parse_grid(text: str) -> GridSpec:
 
 
 def load_payoff_table(path: str) -> PayoffTable:
-    """Read the payoff-table config file: keys "000".."111" -> [a, b, c]."""
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    """Read the payoff-table config file: keys "000".."111" -> [a, b, c]; errors name it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise OSError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise UsageError(f"cannot parse {path}: {exc}") from None
     if not isinstance(raw, dict):
-        raise UsageError("payoff table file must hold a JSON object")
+        raise UsageError(f"payoff table file {path} must hold a JSON object")
     try:
         return PayoffTable.from_mapping(raw)
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise UsageError(f"{path}: {exc}") from None
 
 
 def atomic_write(path: str, data: str) -> None:
@@ -149,9 +154,13 @@ def render_json(doc: dict) -> str:
 
 
 def _emit(args, payload: str) -> None:
-    """Write a rendered report to ``--out`` (atomically) or to stdout."""
+    """Write a rendered report to ``--out`` (atomically) or to stdout.  A failed
+    write names ``--out``, not the temporary file beside it."""
     if args.out:
-        atomic_write(args.out, payload)
+        try:
+            atomic_write(args.out, payload)
+        except OSError as exc:
+            raise OSError(f"cannot write {args.out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(payload)
 
@@ -249,17 +258,11 @@ def cmd_nash(args) -> int:
     if args.scan:
         _reject_given(args, "nash --scan", ("alice", "bob", "charlie", "gamma", "delta"))
         scan = four_case_scan(table, grid)
-        record = scan.to_record()
         doc = report_doc(
             inputs={"command": "nash", "mode": "scan", "grid": grid.to_record()},
-            results=record,
-            verdicts={
-                "ordering": record["ordering"],
-                "bound_checks": record["bound_checks"],
-            },
-            discrepancies=[
-                b for b in record["bound_checks"] if not b["holds"]
-            ],
+            results=scan.to_record(),
+            verdicts=scan.verdicts(),
+            discrepancies=scan.discrepancies(),
         )
     else:
         if not (args.alice and args.bob and args.charlie):

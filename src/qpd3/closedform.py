@@ -156,35 +156,33 @@ def max_entanglement_payoffs(
     cos2a = math.cos(2 * pa.alpha)
     cos2b = math.cos(2 * pa.beta)
 
-    values = []
-    for k in range(3):
-        d = {o: row[k] for o, row in zip(OUTCOMES, config.payoffs.entries)}
-        total = 0.5 * ca * cb * cc * (
-            (d["000"] + d["111"]) + (d["000"] - d["111"]) * coupling * cos2a
-        )
-        total += 0.5 * sa * sb * sc * (
-            (d["000"] + d["111"]) - (d["000"] - d["111"]) * coupling * cos2b
-        )
-        total += 0.5 * ca * cb * sc * (
-            (d["001"] + d["110"]) + (d["001"] - d["110"]) * coupling * cos2a
-        )
-        total += 0.5 * sa * sb * cc * (
-            (d["001"] + d["110"]) - (d["001"] - d["110"]) * coupling * cos2b
-        )
-        total += 0.5 * sa * cb * cc * (
-            (d["100"] + d["011"]) + (d["100"] - d["011"]) * coupling * cos2b
-        )
-        total += 0.5 * ca * sb * sc * (
-            (d["100"] + d["011"]) - (d["100"] - d["011"]) * coupling * cos2a
-        )
-        total += 0.5 * sa * cb * sc * (
-            (d["101"] + d["010"]) + (d["101"] - d["010"]) * coupling * cos2b
-        )
-        total += 0.5 * ca * sb * cc * (
-            (d["101"] + d["010"]) - (d["101"] - d["010"]) * coupling * cos2a
-        )
-        values.append(total)
-    return PayoffTriple(*values)
+    # each d[outcome] holds the three players' payoffs, so one pass yields all three
+    d = dict(zip(OUTCOMES, np.array(config.payoffs.entries)))
+    total = 0.5 * ca * cb * cc * (
+        (d["000"] + d["111"]) + (d["000"] - d["111"]) * coupling * cos2a
+    )
+    total += 0.5 * sa * sb * sc * (
+        (d["000"] + d["111"]) - (d["000"] - d["111"]) * coupling * cos2b
+    )
+    total += 0.5 * ca * cb * sc * (
+        (d["001"] + d["110"]) + (d["001"] - d["110"]) * coupling * cos2a
+    )
+    total += 0.5 * sa * sb * cc * (
+        (d["001"] + d["110"]) - (d["001"] - d["110"]) * coupling * cos2b
+    )
+    total += 0.5 * sa * cb * cc * (
+        (d["100"] + d["011"]) + (d["100"] - d["011"]) * coupling * cos2b
+    )
+    total += 0.5 * ca * sb * sc * (
+        (d["100"] + d["011"]) - (d["100"] - d["011"]) * coupling * cos2a
+    )
+    total += 0.5 * sa * cb * sc * (
+        (d["101"] + d["010"]) + (d["101"] - d["010"]) * coupling * cos2b
+    )
+    total += 0.5 * ca * sb * cc * (
+        (d["101"] + d["010"]) - (d["101"] - d["010"]) * coupling * cos2a
+    )
+    return PayoffTriple(*total.tolist())
 
 
 @dataclass(frozen=True)

@@ -370,6 +370,19 @@ class InfoRelationReport:
         verdicts["relation_holds"] = all(verdicts.values())
         return verdicts
 
+    def discrepancies(self) -> list[dict]:
+        """One record when the claimed relation fails, else none."""
+        if self.verdicts()["relation_holds"]:
+            return []
+        return [
+            {
+                "what": "information relation {PP=EE} > {PE=EP}",
+                "source": self.source,
+                "model": self.model.visible,
+                "values": dict(self.values),
+            }
+        ]
+
     def to_record(self) -> dict:
         return {
             "source": self.source,

@@ -300,27 +300,6 @@ def _named_profile(theta: float) -> Profile:
 
 
 @dataclass(frozen=True)
-class BoundCheck:
-    """Verdict for one 'payoff below bound' claim at a named profile."""
-
-    case: str
-    theta: float
-    payoff: tuple[float, float, float]
-    bound: float
-    holds: bool
-
-    def to_record(self) -> dict:
-        return {
-            "case": self.case,
-            "theta": self.theta,
-            "payoff": list(self.payoff),
-            "bound": self.bound,
-            "holds": self.holds,
-            "max_component": max(self.payoff),
-        }
-
-
-@dataclass(frozen=True)
 class FourCaseScan:
     """Results of evaluating the four entanglement regimes.
 
@@ -328,13 +307,16 @@ class FourCaseScan:
     profile (theta = pi for PP, theta = 0 elsewhere; the theta = 0 choices
     give symmetric payoff triples, which is what makes a single per-regime
     scalar well defined).  ``secondary`` holds the additional stated
-    theta = pi/2 profiles for the mixed regimes.  ``ordering`` records the
-    measured verdicts for the claimed chain PP < PE = EP < EE.
+    theta = pi/2 profiles for the mixed regimes.  ``bounds`` holds one
+    "payoff below 3" verdict record per stated mixed-regime profile (``case``,
+    ``theta``, ``payoff``, ``bound``, ``holds``, ``max_component``) and
+    ``ordering`` the measured verdicts for the claimed chain
+    PP < PE = EP < EE.
     """
 
     reports: tuple[EquilibriumReport, ...]
     secondary: tuple[EquilibriumReport, ...]
-    bounds: tuple[BoundCheck, ...]
+    bounds: tuple[dict, ...]
     ordering: dict
 
     def report_for(self, case: str) -> EquilibriumReport:
@@ -347,9 +329,21 @@ class FourCaseScan:
         return {
             "cases": [r.to_record() for r in self.reports],
             "secondary_profiles": [r.to_record() for r in self.secondary],
-            "bound_checks": [b.to_record() for b in self.bounds],
+            "bound_checks": list(self.bounds),
             "ordering": self.ordering,
         }
+
+    def verdicts(self) -> dict:
+        return {"ordering": self.ordering, "bound_checks": list(self.bounds)}
+
+    def discrepancies(self) -> list[dict]:
+        """A record per failed bound claim, then one if PE = EP fails."""
+        records = [
+            {"what": "mixed-regime payoff bound", **b} for b in self.bounds if not b["holds"]
+        ]
+        if not self.ordering["pe_eq_ep"]:
+            records.append({"what": "PE = EP equality", "gap": self.ordering["pe_eq_ep_gap"]})
+        return records
 
 
 def four_case_scan(
@@ -383,15 +377,16 @@ def four_case_scan(
     # regime; record a verdict per profile rather than trusting the claim.
     bound = 3.0
     for report in list(reports[1:3]) + secondary:
-        payoff = report.payoff.as_tuple()
+        payoff = list(report.payoff.as_tuple())
         bounds.append(
-            BoundCheck(
-                case=report.case,
-                theta=report.profile.pa.theta,
-                payoff=payoff,
-                bound=bound,
-                holds=max(payoff) < bound - PAYOFF_TOL,
-            )
+            {
+                "case": report.case,
+                "theta": report.profile.pa.theta,
+                "payoff": payoff,
+                "bound": bound,
+                "holds": max(payoff) < bound - PAYOFF_TOL,
+                "max_component": max(payoff),
+            }
         )
 
     by_case = {r.case: r for r in reports}

@@ -110,8 +110,7 @@ def build_verify_bundle(seed: int) -> tuple[dict, list]:
     # Four-regime scan: the PP and EE values are analytically forced; the
     # mixed-regime bound and equality claims are measured verdicts.
     scan = four_case_scan(table, grid)
-    scan_record = scan.to_record()
-    results["regimes"] = scan_record
+    results["regimes"] = scan.to_record()
     pp = scan.report_for("PP").payoff
     ee = scan.report_for("EE").payoff
     results["pp_value"] = _check(
@@ -127,15 +126,8 @@ def build_verify_bundle(seed: int) -> tuple[dict, list]:
     results["pp_nash"] = _check(
         "pp_nash", scan.report_for("PP").is_nash, {"gaps": list(scan.report_for("PP").gaps)}
     )
-    verdicts["ordering"] = scan_record["ordering"]
-    verdicts["bound_checks"] = scan_record["bound_checks"]
-    for b in scan_record["bound_checks"]:
-        if not b["holds"]:
-            discrepancies.append({"what": "mixed-regime payoff bound", **b})
-    if not scan_record["ordering"]["pe_eq_ep"]:
-        discrepancies.append(
-            {"what": "PE = EP equality", "gap": scan_record["ordering"]["pe_eq_ep_gap"]}
-        )
+    verdicts.update(scan.verdicts())
+    discrepancies.extend(scan.discrepancies())
 
     # Closed form vs oracle.
     restricted = compare_to_oracle(sample_classical_limit, 1000, seed=seed)
@@ -184,30 +176,21 @@ def build_verify_bundle(seed: int) -> tuple[dict, list]:
             discrepancies.append({"regime": case, **d})
 
     # Information metric under every observation model, both sources.
-    info_records = [
-        info_relation_report(tables, ObservationModel(visible=visible)).to_record()
+    info_reports = [
+        info_relation_report(tables, ObservationModel(visible=visible))
         for visible in _VISIBLE
         for tables in (oracle_tables, fixture_regime_tables())
     ]
-    results["information"] = info_records
+    results["information"] = [r.to_record() for r in info_reports]
     table2_full = information_bits(t2, ObservationModel(visible="full-triple"))
     results["table2_full_bits"] = _check(
         "table2_full_bits", table2_full == 2.0, {"bits": table2_full}
     )
     verdicts["information_relation"] = [
-        {"source": r["source"], "model": r["model"]["visible"], **r["verdicts"]}
-        for r in info_records
+        {"source": r.source, "model": r.model.visible, **r.verdicts()} for r in info_reports
     ]
-    for r in info_records:
-        if not r["verdicts"]["relation_holds"]:
-            discrepancies.append(
-                {
-                    "what": "information relation {PP=EE} > {PE=EP}",
-                    "source": r["source"],
-                    "model": r["model"]["visible"],
-                    "values": r["values"],
-                }
-            )
+    for r in info_reports:
+        discrepancies.extend(r.discrepancies())
 
     hard = [name for name, ok in checks(results) if not ok]
     verdicts["hard_failures"] = hard

@@ -37,7 +37,7 @@ from qpd3 import (
     sample_classical_limit,
     verify_nash,
 )
-from qpd3.cli import build_verify_bundle, render_json
+from qpd3.cli import build_verify_bundle, main, render_json
 
 from conftest import PRINTED_TABLE2, PRINTED_TABLE3, PRINTED_TO_PACKAGE_COL
 
@@ -147,21 +147,21 @@ def test_criterion_06_regime_ordering():
     assert scan.ordering["pp_lt_ee"]
 
     # mixed-regime values at all four stated profiles
-    by_key = {(b.case, round(b.theta, 9)): b for b in scan.bounds}
+    by_key = {(b["case"], round(b["theta"], 9)): b for b in scan.bounds}
     pe0 = by_key[("PE", 0.0)]
     ep0 = by_key[("EP", 0.0)]
     pe_half = by_key[("PE", round(HALF_PI, 9))]
     ep_half = by_key[("EP", round(HALF_PI, 9))]
 
     # the bounds that the oracle supports are asserted outright
-    assert pe0.holds and max(pe0.payoff) < 3 - 1e-9
-    assert ep0.holds and max(ep0.payoff) < 3 - 1e-9
-    assert ep_half.holds and max(ep_half.payoff) < 3 - 1e-9
+    assert pe0["holds"] and max(pe0["payoff"]) < 3 - 1e-9
+    assert ep0["holds"] and max(ep0["payoff"]) < 3 - 1e-9
+    assert ep_half["holds"] and max(ep_half["payoff"]) < 3 - 1e-9
 
     # the remaining stated profile violates its own bound under the trace
     # rule; the scan must flag it (documented discrepancy), not bury it
-    assert not pe_half.holds
-    assert max(pe_half.payoff) == pytest.approx(3.5, abs=1e-9)
+    assert not pe_half["holds"]
+    assert max(pe_half["payoff"]) == pytest.approx(3.5, abs=1e-9)
 
     # the equality claim is a measured-gap verdict at the symmetric profiles
     gap = scan.ordering["pe_eq_ep_gap"]
@@ -170,7 +170,7 @@ def test_criterion_06_regime_ordering():
     report(
         "[PASS] criterion 6: PP=1 and EE=3 asserted, PP<EE; "
         f"PE=EP gap {gap:.2e}; bound<3 holds at 3 of 4 stated profiles; "
-        f"PE(theta=pi/2) payoff max {max(pe_half.payoff)} flagged as documented discrepancy"
+        f"PE(theta=pi/2) payoff max {max(pe_half['payoff'])} flagged as documented discrepancy"
     )
 
 
@@ -268,6 +268,9 @@ def _skeleton(node):
 #: strings, verdicts or record counts must update this on purpose.
 BUNDLE_SKELETON_SHA256 = "4c22e013beffe676a3c0a98b607de0c994f8275e3e95be3d9d0d5cade6e3996e"
 
+#: sha256 of the ``qpd3 nash --scan`` report's skeleton, pinned the same way.
+SCAN_SKELETON_SHA256 = "04bd7d86ada4303cce72ae2c951bd785b810cf4411c7e4ecfd4d14b525bff6bf"
+
 
 def test_criterion_10_verify_determinism():
     first, hard1 = build_verify_bundle(seed=1729)
@@ -286,3 +289,10 @@ def test_criterion_10_verify_determinism():
         f"[PASS] criterion 10: verify bundles byte-identical for a fixed seed "
         f"({len(bytes1)} bytes)"
     )
+
+
+def test_scan_report_skeleton_is_pinned(tmp_path):
+    out = tmp_path / "scan.json"
+    assert main(["nash", "--scan", "--out", str(out)]) == 0
+    skeleton = json.dumps(_skeleton(json.loads(out.read_text())), sort_keys=True).encode()
+    assert hashlib.sha256(skeleton).hexdigest() == SCAN_SKELETON_SHA256

@@ -40,6 +40,17 @@ def assert_usage_error(argv, tmp_path, capsys, *needles):
     assert not out.exists()
 
 
+def stderr_of_two_runs(argv, capsys) -> list[str]:
+    """stderr of two runs of ``argv``, each of which must exit 2."""
+    errs = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        errs.append(capsys.readouterr().err)
+    return errs
+
+
 def write_table(path: Path, rows: dict | None = None) -> Path:
     """The classic payoff table as a ``--payoffs`` file, with ``rows`` replaced."""
     entries = {**qpd3.DEFAULT_PAYOFF_TABLE.as_mapping(), **(rows or {})}
@@ -384,14 +395,17 @@ class TestPayoffTableFile:
 
     def test_missing_file_exits_with_message(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
-        with pytest.raises(SystemExit) as excinfo:
-            main(["payoff", "--gamma", "0", "--delta", "0",
-                  "--alice", "0,0,0", "--bob", "0,0,0", "--charlie", "0,0,0",
-                  "--payoffs", str(missing)])
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(missing) in err
-        assert err.count("\n") == 1
+        assert stderr_of_two_runs(PAYOFF_ARGS + ["--payoffs", str(missing)], capsys) == [
+            f"error: cannot read {missing}: No such file or directory\n"
+        ] * 2
+
+    def test_malformed_json_names_the_file(self, tmp_path, capsys):
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text('{"000": [1 2]}')
+        assert stderr_of_two_runs(PAYOFF_ARGS + ["--payoffs", str(malformed)], capsys) == [
+            f"error: cannot parse {malformed}: "
+            "Expecting ',' delimiter: line 1 column 12 (char 11)\n"
+        ] * 2
 
 
 class TestAtomicWrite:
@@ -402,13 +416,20 @@ class TestAtomicWrite:
         assert list(tmp_path.iterdir()) == [target]
 
     def test_missing_directory_exits_with_message(self, tmp_path, capsys):
+        # the message names --out, not the temporary file beside it, whose
+        # name differs on every run
         out = tmp_path / "missing-dir" / "x.json"
-        with pytest.raises(SystemExit) as excinfo:
-            main(["table", "--gamma", "0", "--delta", "0", "--out", str(out)])
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "missing-dir" in err
-        assert err.count("\n") == 1
+        argv = ["table", "--gamma", "0", "--delta", "0", "--out", str(out)]
+        assert stderr_of_two_runs(argv, capsys) == [
+            f"error: cannot write {out}: No such file or directory\n"
+        ] * 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_naming_a_directory_exits_with_message(self, tmp_path, capsys):
+        argv = ["table", "--gamma", "0", "--delta", "0", "--out", str(tmp_path)]
+        assert stderr_of_two_runs(argv, capsys) == [
+            f"error: cannot write {tmp_path}: Is a directory\n"
+        ] * 2
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_run_leaves_no_output(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -345,3 +346,23 @@ class TestInfoRelationReport:
 
         report = info_relation_report(fixture_regime_tables(), PAIR)
         json.dumps(report.to_record())
+
+    def test_discrepancies_exactly_when_the_relation_fails(self):
+        measured = [
+            info_relation_report(tables, model)
+            for model in (OWN, PAIR, FULL)
+            for tables in (oracle_regime_tables(), fixture_regime_tables())
+        ]
+        holding = replace(measured[0], values={"PP": 2.0, "PE": 1.0, "EP": 1.0, "EE": 2.0})
+        for report in measured + [holding]:
+            assert (report.discrepancies() == []) is report.verdicts()["relation_holds"]
+        assert holding.discrepancies() == []
+        # the relation fails in every measured source and model
+        assert info_relation_report(fixture_regime_tables(), PAIR).discrepancies() == [
+            {
+                "what": "information relation {PP=EE} > {PE=EP}",
+                "source": "published",
+                "model": "bob-and-charlie",
+                "values": {"PP": 2.0, "PE": 2.0, "EP": 2.0, "EE": 2.0},
+            }
+        ]

@@ -403,13 +403,13 @@ class TestFourCaseScan:
         assert ordering["pe_eq_ep"] is True
 
     def test_bound_checks_document_the_violation(self, scan):
-        by_key = {(b.case, round(b.theta, 6)): b for b in scan.bounds}
-        assert by_key[("PE", 0.0)].holds
-        assert by_key[("EP", 0.0)].holds
-        assert by_key[("EP", round(HALF_PI, 6))].holds
+        by_key = {(b["case"], round(b["theta"], 6)): b for b in scan.bounds}
+        assert by_key[("PE", 0.0)]["holds"]
+        assert by_key[("EP", 0.0)]["holds"]
+        assert by_key[("EP", round(HALF_PI, 6))]["holds"]
         violated = by_key[("PE", round(HALF_PI, 6))]
-        assert not violated.holds
-        assert max(violated.payoff) == pytest.approx(3.5, abs=1e-9)
+        assert not violated["holds"]
+        assert max(violated["payoff"]) == pytest.approx(3.5, abs=1e-9)
 
     def test_record_is_serializable(self, scan):
         import json
