@@ -38,7 +38,6 @@ from .equilibrium import (
     FourCaseScan,
     GridSpec,
     Profile,
-    best_response,
     four_case_scan,
     verify_nash,
 )
@@ -73,7 +72,7 @@ __all__ = [
     "sample_classical_limit", "sample_pure_moves",
     # equilibrium
     "GridSpec", "Profile", "EquilibriumReport", "FourCaseScan",
-    "best_response", "verify_nash", "four_case_scan",
+    "verify_nash", "four_case_scan",
     # comms
     "Codeword", "CODEWORDS", "COLUMNS", "ObservationModel", "ProtocolTable",
     "DecodeResult", "InfoRelationReport", "REGIME_FIXTURES", "common_move", "protocol_table",

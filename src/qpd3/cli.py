@@ -109,13 +109,24 @@ def parse_pair(text: str) -> tuple[float, float]:
 
 
 def parse_grid(text: str) -> GridSpec:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise UsageError(f"expected 't,a,b' point counts, got {text!r}")
     try:
-        return GridSpec(*(int(p) for p in parts))
+        t, a, b = (int(p) for p in text.split(","))
+    except ValueError:
+        raise UsageError(f"--grid expects 't,a,b' integer point counts, got {text!r}") from None
+    try:
+        return GridSpec(t, a, b)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+
+
+def parse_observed(text: str) -> tuple[float, ...]:
+    try:
+        observed = tuple(float(p) for p in text.split(","))
+    except ValueError:
+        observed = (math.nan,)  # text that is no number is no finite payoff
+    if not all(math.isfinite(x) for x in observed):
+        raise UsageError(f"--observed expects finite payoffs 'P[,P[,P]]', got {text!r}")
+    return observed
 
 
 def load_payoff_table(path: str) -> PayoffTable:
@@ -351,7 +362,7 @@ def cmd_comm_decode(args) -> int:
         table = protocol_table(parse_angle(args.gamma), parse_angle(args.delta), _table_for(args))
     model = _model_from(args)
     common = parse_pair(args.common)
-    observed = tuple(float(x) for x in args.observed.split(","))
+    observed = parse_observed(args.observed)
     result = decode(table, common, observed, model)
 
     alice_payoffs = {}
@@ -386,6 +397,8 @@ def cmd_comm_decode(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise UsageError(f"--seed expects a non-negative integer, got {args.seed}")
     doc, hard = build_verify_bundle(args.seed)
     _emit(args, render_json(doc))
     for name, ok in checks(doc["results"]):

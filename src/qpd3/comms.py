@@ -309,8 +309,9 @@ def decode(
     ``observed`` must carry as many components as the model makes visible.
 
     Raises:
-        ValueError: if the observed payoffs match no row of the column;
-            the table and the observation are inconsistent.
+        ValueError: if an observed payoff is not finite, or if the observed
+            payoffs match no row of the column; the table and the
+            observation are inconsistent.
     """
     col = table.column_index(common_move_pair)
     visible = _VISIBLE[model.visible]
@@ -319,6 +320,8 @@ def decode(
             f"model {model.visible!r} needs {len(visible)} observed component(s), "
             f"got {len(observed)}"
         )
+    if not np.isfinite(observed).all():
+        raise ValueError(f"observed payoffs {observed!r} must be finite")
     hits = _matches(table.payoffs[:, col, visible], observed)
     candidates = tuple(cw for cw, hit in zip(CODEWORDS, hits) if hit)
     if not candidates:

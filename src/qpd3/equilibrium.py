@@ -1,4 +1,4 @@
-"""Grid-based best-response search and the four entanglement-regime scan.
+"""Grid-Nash certificates and the four entanglement-regime scan.
 
 Nash claims here are certified against a finite strategy grid rather than
 analytically: a profile is *grid-Nash* when no player can improve their
@@ -40,13 +40,12 @@ from .game import (
     StrategyParams,
     expected_payoffs,
     outcome_probabilities,
-    player_index,
 )
 
 _THETA_ANCHORS = np.array([0.0, math.pi / 2, math.pi])
 _PHASE_ANCHORS = np.array([-math.pi, 0.0, math.pi / 2, math.pi])
 
-#: Largest grid a ``GridSpec`` accepts, in points per player.  A best-response
+#: Largest grid a ``GridSpec`` accepts, in points per player.  A certificate
 #: pass holds about 80 bytes per candidate at its peak (tracemalloc over
 #: ``verify_nash`` on the 53,361-point refined default grid), so this cap
 #: keeps one pass near 80 MB instead of letting a typo ask for tens of GB.
@@ -235,42 +234,6 @@ def _payoff_form(
     return forms @ config.payoffs.column(player)
 
 
-def _batched_payoffs(
-    player: int,
-    quaternions: np.ndarray,
-    others: tuple[StrategyParams, StrategyParams],
-    config: GameConfig,
-) -> np.ndarray:
-    """Payoffs of ``player`` for each ``(G, 4)`` quaternion row, others fixed."""
-    form = _payoff_form(player, others, config)
-    return np.einsum("gi,gi->g", quaternions @ form, quaternions)
-
-
-def best_response(
-    player,
-    others: tuple[StrategyParams, StrategyParams],
-    config: GameConfig,
-    grid: GridSpec,
-) -> StrategyParams:
-    """Argmax of the player's payoff over their grid, opponents held fixed.
-
-    ``others`` are the remaining players' parameters in ascending player
-    order (B,C for Alice, A,C for Bob, A,B for Charlie).  The grid is scanned
-    through the player's payoff form, one kernel call in all.  Ties,
-    including float near-ties within ``ATOL`` (which is where
-    payoff-irrelevant phases land), break to the lexicographically smallest
-    (theta, alpha, beta).
-    """
-    k = player_index(player)
-    payoffs = _batched_payoffs(k, _grid_quaternions(grid), others, config)
-    # quaternions are in lexicographic order, so the first near-maximizer is
-    # the required tie-break
-    best = int(np.argmax(payoffs >= payoffs.max() - ATOL))
-    axes = (grid.theta_values(), grid.alpha_values(), grid.beta_values())
-    index = np.unravel_index(best, [len(axis) for axis in axes])
-    return StrategyParams(*(axis[i] for axis, i in zip(axes, index)))
-
-
 def verify_nash(
     profile: Profile,
     config: GameConfig,
@@ -287,7 +250,8 @@ def verify_nash(
     gaps = []
     for k in range(3):
         others = tuple(p for i, p in enumerate(profile.as_tuple()) if i != k)
-        payoffs = _batched_payoffs(k, quaternions, others, config)
+        form = _payoff_form(k, others, config)
+        payoffs = np.einsum("gi,gi->g", quaternions @ form, quaternions)
         gaps.append(max(float(payoffs.max()) - payoff[k], 0.0))
     return EquilibriumReport(profile, payoff, tuple(gaps), grid)
 

@@ -89,18 +89,6 @@ def _check_range(name: str, value: float, lo: float, hi: float) -> float:
     return value
 
 
-def player_index(player) -> int:
-    """Map 'A'/'B'/'C' (or 0/1/2) to a payoff-triple index."""
-    if isinstance(player, int):
-        if player in (0, 1, 2):
-            return player
-        raise ValueError(f"player index must be 0, 1 or 2, got {player}")
-    try:
-        return PLAYERS.index(str(player).upper())
-    except ValueError:
-        raise ValueError(f"unknown player {player!r}; expected one of {PLAYERS}") from None
-
-
 @dataclass(frozen=True)
 class StrategyParams:
     """One player's move: ``U = cos(theta/2) R(alpha) + sin(theta/2) P(beta)``.
@@ -177,9 +165,11 @@ class PayoffTable:
                 raise ValueError(f"payoff row {o!r} must be a list of 3 real numbers, got {row!r}")
         return cls(tuple(tuple(mapping[o]) for o in OUTCOMES))
 
-    def column(self, player) -> np.ndarray:
-        """All 8 payoffs of one player, in basis order (a read-only view)."""
-        return self._columns[player_index(player)]
+    def column(self, player: int) -> np.ndarray:
+        """All 8 payoffs of player 0, 1 or 2, in basis order (a read-only view)."""
+        if player not in (0, 1, 2):
+            raise ValueError(f"player index must be 0, 1 or 2, got {player!r}")
+        return self._columns[player]
 
     def expected(self, probs: np.ndarray) -> np.ndarray:
         """Expected payoffs ``(N, 3)`` for ``(N, 8)`` outcome probabilities: one dot

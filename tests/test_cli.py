@@ -279,6 +279,11 @@ class TestNashCommand:
         argv = ["nash", "--scan", "--grid", "3,3,3", *extra]
         assert_usage_error(argv, tmp_path, capsys, "--scan", extra[0])
 
+    @pytest.mark.parametrize("grid", ["2,2,x", "2,2", "2,2,2,2"])
+    def test_malformed_grid_names_the_option(self, tmp_path, capsys, grid):
+        argv = ["nash", "--scan", "--grid", grid]
+        assert_usage_error(argv, tmp_path, capsys, "--grid", repr(grid))
+
     def test_profile_angles_default_to_zero(self, tmp_path):
         moves = ["--alice", "pi,0,pi/2", "--bob", "pi,0,pi/2", "--charlie", "pi,0,pi/2",
                  "--grid", "3,3,3"]
@@ -341,6 +346,12 @@ class TestCommCommands:
             main(["comm", "decode", "--fixture", "table2",
                   "--common", "0,0", "--observed", "9,9"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("observed", ["x", ",2", "nan,nan", "1e400,2"])
+    def test_malformed_observation_names_the_option(self, tmp_path, capsys, observed):
+        argv = ["comm", "decode", "--fixture", "table2", "--common", "0,0",
+                "--observed", observed]
+        assert_usage_error(argv, tmp_path, capsys, "--observed", repr(observed))
 
     def test_simulate_report(self, tmp_path):
         out = tmp_path / "sim.json"
@@ -480,6 +491,9 @@ class TestVerify:
         # tables, 6 certificates x 4 calls, and 2 x 1000 closed-form samples
         # checked one oracle call each.
         assert spy.call_count == 2030
+
+    def test_negative_seed_names_the_option(self, tmp_path, capsys):
+        assert_usage_error(["verify", "--seed", "-1"], tmp_path, capsys, "--seed", "-1")
 
     def test_default_seed_constant(self):
         assert isinstance(DEFAULT_SEED, int)

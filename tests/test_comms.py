@@ -201,6 +201,11 @@ class TestDecode:
         with pytest.raises(ValueError):
             decode(fixture_table("table2"), (0.0, 0.0), (1.23, 4.56), PAIR)
 
+    @pytest.mark.parametrize("observed", [(math.nan, math.nan), (math.inf, 2.0)])
+    def test_non_finite_observation_is_an_error(self, observed):
+        with pytest.raises(ValueError, match=r"observed payoffs .* must be finite"):
+            decode(fixture_table("table2"), (0.0, 0.0), observed, PAIR)
+
     def test_wrong_observation_arity_is_an_error(self):
         with pytest.raises(ValueError):
             decode(fixture_table("table2"), (0.0, 0.0), (2.0, 2.0, 2.0), PAIR)

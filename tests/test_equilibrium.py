@@ -13,7 +13,6 @@ from qpd3 import (
     PayoffTriple,
     Profile,
     StrategyParams,
-    best_response,
     expected_payoffs,
     four_case_scan,
     verify_nash,
@@ -21,7 +20,6 @@ from qpd3 import (
 from qpd3.equilibrium import (
     _POLAR_MOVES,
     MAX_GRID_POINTS,
-    _batched_payoffs,
     _grid_quaternions,
     _payoff_form,
 )
@@ -153,8 +151,9 @@ class TestBatchedKernel:
             player = trial % 3
             candidates = np.array([random_params(rng).as_tuple() for _ in range(100)])
             others = (random_params(rng), random_params(rng))
-            batched = _batched_payoffs(player, quaternions_of(candidates), others, config)
-            for row, got in zip(candidates, batched):
+            quats = quaternions_of(candidates)
+            form = _payoff_form(player, others, config)
+            for row, got in zip(candidates, np.einsum("gi,gi->g", quats @ form, quats)):
                 profile = [p.as_tuple() for p in others]
                 profile.insert(player, tuple(row))
                 assert abs(got - trace_rule_payoffs(config, *profile)[player]) < 1e-12
@@ -236,45 +235,44 @@ class TestExactCrossCheck:
 
 
 class TestBestResponse:
-    def test_defection_dominates_against_defectors(self):
-        br = best_response("A", (defect(), defect()), GameConfig(0, 0), GridSpec())
-        assert br.theta == math.pi
-        assert (br.alpha, br.beta) == (-math.pi, -math.pi)  # lexicographic tie-break
+    """Best-response facts of the game, read off the certificate gaps and the
+    payoff forms."""
 
-    def test_argmax_is_read_off_the_lexicographic_grid(self, rng):
-        # best_response unravels its argmax over the three axes; the reference
-        # indexes the meshgrid rows with the same first-near-maximum rule
-        reference = grid_moves(SMALL_GRID)
-        for trial in range(12):
-            player = trial % 3
-            config = GameConfig(rng.uniform(0, HALF_PI), rng.uniform(0, HALF_PI))
-            others = (random_params(rng), random_params(rng))
-            payoffs = _batched_payoffs(player, _grid_quaternions(SMALL_GRID), others, config)
-            want = reference[np.argmax(payoffs >= payoffs.max() - 1e-12)]
-            got = best_response(player, others, config, SMALL_GRID)
-            assert got.as_tuple() == tuple(want)
+    # At gamma = delta = 0 the game is the classical dilemma, where defecting
+    # gains at least 1 over cooperating whatever the others play.
+    def test_defection_dominates_against_defectors(self):
+        config = GameConfig(0, 0)
+        defecting = verify_nash(Profile(defect(), defect(), defect()), config, GridSpec())
+        cooperating = verify_nash(Profile(cooperate(), defect(), defect()), config, GridSpec())
+        assert defecting.gaps[0] <= PAYOFF_TOL
+        assert cooperating.gaps[0] >= 1 - PAYOFF_TOL
 
     def test_defection_dominates_against_cooperators(self):
-        br = best_response("B", (cooperate(), cooperate()), GameConfig(0, 0), GridSpec())
-        assert br.theta == math.pi
+        config = GameConfig(0, 0)
+        defecting = verify_nash(Profile(cooperate(), defect(), cooperate()), config, GridSpec())
+        all_cooperate = Profile(cooperate(), cooperate(), cooperate())
+        cooperating = verify_nash(all_cooperate, config, GridSpec())
+        assert defecting.gaps[1] <= PAYOFF_TOL
+        assert cooperating.gaps[1] >= 1 - PAYOFF_TOL
 
     def test_dominance_over_sampled_opponents(self, rng):
         config = GameConfig(0, 0)
         for _ in range(25):
-            others = (random_params(rng), random_params(rng))
-            br = best_response("C", others, config, SMALL_GRID)
-            assert br.theta == math.pi
+            pa, pb = random_params(rng), random_params(rng)
+            defecting = verify_nash(Profile(pa, pb, defect()), config, SMALL_GRID)
+            cooperating = verify_nash(Profile(pa, pb, cooperate()), config, SMALL_GRID)
+            assert defecting.gaps[2] <= PAYOFF_TOL
+            assert cooperating.gaps[2] >= 1 - PAYOFF_TOL
 
     def test_alice_bob_symmetric(self, rng):
         # the measurement pairing carries sign (-1)^(l xor m), so the game is
         # exactly symmetric under exchanging Alice and Bob at every (gamma,
-        # delta): their best responses to the same opponents coincide
+        # delta): against the same opponents their payoff forms coincide
         for _ in range(20):
             config = GameConfig(rng.uniform(0, HALF_PI), rng.uniform(0, HALF_PI))
             others = (random_params(rng), random_params(rng))
-            br_a = best_response("A", others, config, SMALL_GRID)
-            br_b = best_response("B", others, config, SMALL_GRID)
-            assert br_a == br_b
+            diff = _payoff_form(0, others, config) - _payoff_form(1, others, config)
+            assert np.abs(diff).max() < 1e-12
 
     def test_bob_charlie_symmetric_in_product_basis(self, rng):
         # exchanging Bob and Charlie is only a symmetry when the measurement
@@ -282,10 +280,9 @@ class TestBestResponse:
         # breaks it
         for _ in range(20):
             config = GameConfig(rng.uniform(0, HALF_PI), 0.0)
-            pa, pother = random_params(rng), random_params(rng)
-            br_b = best_response("B", (pa, pother), config, SMALL_GRID)
-            br_c = best_response("C", (pa, pother), config, SMALL_GRID)
-            assert br_b == br_c
+            others = (random_params(rng), random_params(rng))
+            diff = _payoff_form(1, others, config) - _payoff_form(2, others, config)
+            assert np.abs(diff).max() < 1e-12
 
 
 class TestVerifyNash:
@@ -331,7 +328,8 @@ class TestVerifyNash:
         config, grid = GameConfig(0.3, 0.9), GridSpec(3, 3, 3)
         report = verify_nash(profile, config, grid)
         others = profile.as_tuple()[1:]
-        best_grid = float(_batched_payoffs(0, _grid_quaternions(grid), others, config).max())
+        quats, form = _grid_quaternions(grid), _payoff_form(0, others, config)
+        best_grid = float(np.einsum("gi,gi->g", quats @ form, quats).max())
         assert report.payoff.alice == pytest.approx(3.7473, abs=1e-4)
         assert best_grid == pytest.approx(3.6930, abs=1e-4)
         assert report.gaps[0] == 0.0

@@ -357,10 +357,15 @@ class TestConfigAndTable:
 
     def test_columns_are_stored_read_only(self):
         # every caller shares the default table's columns, so none may write
-        column = DEFAULT_PAYOFF_TABLE.column("B")
+        column = DEFAULT_PAYOFF_TABLE.column(1)
         with pytest.raises(ValueError):
             column[0] = 9.0
         assert column.tolist() == [3, 2, 5, 4, 2, 0, 4, 1]
+
+    @pytest.mark.parametrize("player", ["B", 3, -1])
+    def test_column_takes_only_a_player_index(self, player):
+        with pytest.raises(ValueError, match="player index must be 0, 1 or 2"):
+            DEFAULT_PAYOFF_TABLE.column(player)
 
     def test_table_requires_all_outcomes(self):
         mapping = DEFAULT_PAYOFF_TABLE.as_mapping()
@@ -398,7 +403,7 @@ PUBLIC_NAMES = """
     CODEWORDS COLUMNS Codeword ComparisonReport DEFAULT_PAYOFF_TABLE
     DecodeResult EquilibriumReport FourCaseScan GameConfig GridSpec InfoRelationReport
     OUTCOMES ObservationModel PLAYERS PayoffTable PayoffTriple Profile ProtocolTable
-    REGIMES REGIME_FIXTURES StrategyParams __version__ best_response closed_form_payoffs
+    REGIMES REGIME_FIXTURES StrategyParams __version__ closed_form_payoffs
     common_move compare_to_oracle decode expected_payoffs fixture_regime_tables
     fixture_table four_case_scan info_relation_report information_bits
     max_entanglement_payoffs measurement_basis moves oracle_regime_tables
@@ -409,6 +414,30 @@ PUBLIC_NAMES = """
 
 def test_public_surface_is_pinned():
     assert sorted(qpd3.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 43
+    assert len(PUBLIC_NAMES) == 42
     for name in PUBLIC_NAMES:
         getattr(qpd3, name)
+
+
+def test_every_public_name_has_a_caller():
+    # API that no caller uses is deleted: each exported name appears in the
+    # package beyond its own definition, or in a demo or the README (tests
+    # do not count)
+    package = " ".join(
+        path.read_text(encoding="utf-8")
+        for path in sorted(Path(qpd3.__file__).parent.glob("*.py"))
+        if path.name != "__init__.py"
+    )
+    repo = Path(__file__).resolve().parent.parent
+    shown = " ".join(
+        path.read_text(encoding="utf-8")
+        for path in sorted((repo / "demos").glob("*.py")) + [repo / "README.md"]
+    )
+
+    def count(name, text):
+        return len(re.findall(rf"(?<!\w){re.escape(name)}(?!\w)", text))
+
+    unused = [
+        name for name in qpd3.__all__ if count(name, package) < 2 and count(name, shown) < 1
+    ]
+    assert unused == []
