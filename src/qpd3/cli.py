@@ -10,8 +10,9 @@ Subcommands:
   check fails (documented discrepancies with the published tables are
   expected output, not failures).
 
-Each subcommand parses its options, makes its library call and renders the
-result; the checks themselves live in the library (:mod:`qpd3.verify`).
+The parser turns each option's text into a value, and every bad input exits 2
+with one ``error:`` line; each subcommand makes its library call and renders the
+result.  The checks themselves live in the library (:mod:`qpd3.verify`).
 
 Angles are accepted as rational multiples of pi ("pi/3", "-pi", "3pi/4") or
 as plain radian numbers.  Only ``verify`` draws random numbers, from
@@ -65,8 +66,8 @@ _ANGLE_RE = re.compile(
 )
 
 
-class UsageError(ValueError):
-    """Malformed command input; maps to a nonzero exit with a message."""
+class UsageError(ValueError, argparse.ArgumentTypeError):
+    """Malformed command input; from a converter, argparse prefixes the option."""
 
 
 def parse_angle(text: str) -> float:
@@ -112,7 +113,7 @@ def parse_grid(text: str) -> GridSpec:
     try:
         t, a, b = (int(p) for p in text.split(","))
     except ValueError:
-        raise UsageError(f"--grid expects 't,a,b' integer point counts, got {text!r}") from None
+        raise UsageError(f"expected 't,a,b' integer point counts, got {text!r}") from None
     try:
         return GridSpec(t, a, b)
     except ValueError as exc:
@@ -125,8 +126,18 @@ def parse_observed(text: str) -> tuple[float, ...]:
     except ValueError:
         observed = (math.nan,)  # text that is no number is no finite payoff
     if not all(math.isfinite(x) for x in observed):
-        raise UsageError(f"--observed expects finite payoffs 'P[,P[,P]]', got {text!r}")
+        raise UsageError(f"expected finite payoffs 'P[,P[,P]]', got {text!r}")
     return observed
+
+
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1  # text that is no integer is no seed
+    if seed < 0:
+        raise UsageError(f"expected a non-negative integer, got {text!r}")
+    return seed
 
 
 def load_payoff_table(path: str) -> PayoffTable:
@@ -176,10 +187,6 @@ def _emit(args, payload: str) -> None:
         sys.stdout.write(payload)
 
 
-def _fmt_triple(triple) -> str:
-    return "(" + ", ".join(f"{x:.10g}" for x in triple) + ")"
-
-
 def _reject_given(args, command: str, names: tuple[str, ...]) -> None:
     """Raise a UsageError naming each option in ``names`` that was given."""
     given = [f"--{name}" for name in names if getattr(args, name) is not None]
@@ -198,8 +205,8 @@ def _table_for(args) -> PayoffTable:
 
 
 def cmd_payoff(args) -> int:
-    config = GameConfig(parse_angle(args.gamma), parse_angle(args.delta), _table_for(args))
-    profile = (parse_params(args.alice), parse_params(args.bob), parse_params(args.charlie))
+    config = GameConfig(args.gamma, args.delta, _table_for(args))
+    profile = (args.alice, args.bob, args.charlie)
     probs = outcome_probabilities(config.gamma, config.delta, *(p.as_tuple() for p in profile))
     payoffs = config.payoffs.expected(probs)[0].tolist()
     doc = report_doc(
@@ -219,13 +226,12 @@ def cmd_payoff(args) -> int:
     if args.out:
         _emit(args, render_json(doc))
     else:
-        sys.stdout.write(_fmt_triple(payoffs) + "\n")
+        sys.stdout.write("(" + ", ".join(f"{x:.10g}" for x in payoffs) + ")\n")
     return 0
 
 
 def cmd_table(args) -> int:
-    gamma, delta = parse_angle(args.gamma), parse_angle(args.delta)
-    table = _table_for(args)
+    gamma, delta, table = args.gamma, args.delta, _table_for(args)
     oracle = protocol_table(gamma, delta, table)
 
     if args.format == "csv":
@@ -264,8 +270,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_nash(args) -> int:
-    grid = parse_grid(args.grid) if args.grid else GridSpec()
-    table = _table_for(args)
+    grid, table = args.grid, _table_for(args)
     if args.scan:
         _reject_given(args, "nash --scan", ("alice", "bob", "charlie", "gamma", "delta"))
         scan = four_case_scan(table, grid)
@@ -278,11 +283,9 @@ def cmd_nash(args) -> int:
     else:
         if not (args.alice and args.bob and args.charlie):
             raise UsageError("nash needs --alice/--bob/--charlie (or use --scan)")
-        gamma, delta = (parse_angle("0" if a is None else a) for a in (args.gamma, args.delta))
+        gamma, delta = (0.0 if a is None else a for a in (args.gamma, args.delta))
         config = GameConfig(gamma, delta, table)
-        profile = Profile(
-            parse_params(args.alice), parse_params(args.bob), parse_params(args.charlie)
-        )
+        profile = Profile(args.alice, args.bob, args.charlie)
         report = verify_nash(profile, config, grid)
         doc = report_doc(
             inputs={
@@ -308,8 +311,7 @@ def _model_from(args) -> ObservationModel:
 
 
 def cmd_comm_simulate(args) -> int:
-    gamma, delta = parse_angle(args.gamma), parse_angle(args.delta)
-    table = protocol_table(gamma, delta, _table_for(args))
+    table = protocol_table(args.gamma, args.delta, _table_for(args))
     model = _model_from(args)
 
     transmissions = []
@@ -337,8 +339,8 @@ def cmd_comm_simulate(args) -> int:
     doc = report_doc(
         inputs={
             "command": "comm simulate",
-            "gamma": gamma,
-            "delta": delta,
+            "gamma": args.gamma,
+            "delta": args.delta,
             "model": model.visible,
         },
         results={
@@ -359,14 +361,12 @@ def cmd_comm_decode(args) -> int:
     else:
         if args.gamma is None or args.delta is None:
             raise UsageError("decode needs --fixture or both --gamma and --delta")
-        table = protocol_table(parse_angle(args.gamma), parse_angle(args.delta), _table_for(args))
+        table = protocol_table(args.gamma, args.delta, _table_for(args))
     model = _model_from(args)
-    common = parse_pair(args.common)
-    observed = parse_observed(args.observed)
-    result = decode(table, common, observed, model)
+    result = decode(table, args.common, args.observed, model)
 
     alice_payoffs = {}
-    col = table.column_index(common)
+    col = table.column_index(args.common)
     for cw in result.candidates:
         alice_payoffs[cw.bits] = table.entry(CODEWORDS.index(cw), col).alice
 
@@ -374,8 +374,8 @@ def cmd_comm_decode(args) -> int:
         inputs={
             "command": "comm decode",
             "table": table.label,
-            "common": list(common),
-            "observed": list(observed),
+            "common": list(args.common),
+            "observed": list(args.observed),
             "model": model.visible,
         },
         results={
@@ -397,8 +397,6 @@ def cmd_comm_decode(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.seed < 0:
-        raise UsageError(f"--seed expects a non-negative integer, got {args.seed}")
     doc, hard = build_verify_bundle(args.seed)
     _emit(args, render_json(doc))
     for name, ok in checks(doc["results"]):
@@ -421,8 +419,15 @@ def _add_payoff_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--payoffs", help="JSON payoff-table file (keys 000..111)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Every error, argparse's or the program's, is one ``error:`` line, exit 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qpd3",
         description="Three-player quantum Prisoner's Dilemma: payoffs, equilibria, signaling.",
     )
@@ -430,18 +435,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("payoff", help="oracle payoffs for one profile")
-    p.add_argument("--gamma", required=True)
-    p.add_argument("--delta", required=True)
-    p.add_argument("--alice", required=True, metavar="T,A,B")
-    p.add_argument("--bob", required=True, metavar="T,A,B")
-    p.add_argument("--charlie", required=True, metavar="T,A,B")
+    p.add_argument("--gamma", required=True, type=parse_angle)
+    p.add_argument("--delta", required=True, type=parse_angle)
+    p.add_argument("--alice", required=True, type=parse_params, metavar="T,A,B")
+    p.add_argument("--bob", required=True, type=parse_params, metavar="T,A,B")
+    p.add_argument("--charlie", required=True, type=parse_params, metavar="T,A,B")
     _add_payoff_source(p)
     _add_out(p)
     p.set_defaults(func=cmd_payoff)
 
     p = sub.add_parser("table", help="oracle protocol table, diffed against a fixture")
-    p.add_argument("--gamma", required=True)
-    p.add_argument("--delta", required=True)
+    p.add_argument("--gamma", required=True, type=parse_angle)
+    p.add_argument("--delta", required=True, type=parse_angle)
     p.add_argument("--fixture", choices=("table2", "table3"))
     _add_payoff_source(p)
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -449,12 +454,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("nash", help="grid-Nash certificate or four-regime scan")
-    p.add_argument("--gamma", help="default 0")
-    p.add_argument("--delta", help="default 0")
-    p.add_argument("--alice", metavar="T,A,B")
-    p.add_argument("--bob", metavar="T,A,B")
-    p.add_argument("--charlie", metavar="T,A,B")
-    p.add_argument("--grid", metavar="T,A,B", help="points per axis (default 25,17,17)")
+    p.add_argument("--gamma", type=parse_angle, help="default 0")
+    p.add_argument("--delta", type=parse_angle, help="default 0")
+    p.add_argument("--alice", type=parse_params, metavar="T,A,B")
+    p.add_argument("--bob", type=parse_params, metavar="T,A,B")
+    p.add_argument("--charlie", type=parse_params, metavar="T,A,B")
+    p.add_argument("--grid", type=parse_grid, default=GridSpec(), metavar="T,A,B",
+                   help="points per axis (default 25,17,17)")
     p.add_argument("--scan", action="store_true", help="run the four-regime scan")
     _add_payoff_source(p)
     _add_out(p)
@@ -464,8 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
     comm_sub = p.add_subparsers(dest="comm_command", required=True)
 
     ps = comm_sub.add_parser("simulate", help="run the protocol over a config")
-    ps.add_argument("--gamma", required=True)
-    ps.add_argument("--delta", required=True)
+    ps.add_argument("--gamma", required=True, type=parse_angle)
+    ps.add_argument("--delta", required=True, type=parse_angle)
     ps.add_argument("--model", choices=tuple(_MODEL_VISIBLE), default="pair")
     _add_payoff_source(ps)
     _add_out(ps)
@@ -473,17 +479,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     pd = comm_sub.add_parser("decode", help="decode observed payoffs")
     pd.add_argument("--fixture", choices=("table2", "table3"))
-    pd.add_argument("--gamma")
-    pd.add_argument("--delta")
-    pd.add_argument("--common", required=True, metavar="T,T")
-    pd.add_argument("--observed", required=True, metavar="P[,P[,P]]")
+    pd.add_argument("--gamma", type=parse_angle)
+    pd.add_argument("--delta", type=parse_angle)
+    pd.add_argument("--common", required=True, type=parse_pair, metavar="T,T")
+    pd.add_argument("--observed", required=True, type=parse_observed, metavar="P[,P[,P]]")
     pd.add_argument("--model", choices=tuple(_MODEL_VISIBLE), default="pair")
     _add_payoff_source(pd)
     _add_out(pd)
     pd.set_defaults(func=cmd_comm_decode)
 
     p = sub.add_parser("verify", help="full verification bundle")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"default {DEFAULT_SEED}")
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED, help=f"default {DEFAULT_SEED}")
     _add_out(p)
     p.set_defaults(func=cmd_verify)
 
@@ -496,8 +502,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
-        parser.exit(2, f"error: {exc}\n")
-    return 0
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

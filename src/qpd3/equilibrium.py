@@ -71,8 +71,6 @@ _POLAR_MOVES = np.array(
 
 
 def _grid_axis(count: int, lo: float, hi: float, anchors: np.ndarray) -> np.ndarray:
-    if count < 2:
-        raise ValueError("grid axes need at least 2 points")
     pts = np.linspace(lo, hi, count)
     # A linspace point an ulp off an anchor would be a second copy of it.
     pts = pts[np.abs(pts[:, None] - anchors).min(axis=1) > ATOL]
@@ -194,10 +192,6 @@ def _grid_quaternions(grid: GridSpec) -> np.ndarray:
     (theta, alpha, beta) order: row ``g`` is the move at the axis indices
     ``np.unravel_index(g, (len(theta), len(alpha), len(beta)))``."""
     theta, alpha, beta = grid.theta_values(), grid.alpha_values(), grid.beta_values()
-    # Grid moves never reach the kernel, so their range is checked here.
-    for (name, (lo, hi)), axis in zip(_PARAM_BOX.items(), (theta, alpha, beta)):
-        if not ((lo <= axis) & (axis <= hi)).all():
-            raise ValueError(f"grid {name} values must lie in [{lo:.6g}, {hi:.6g}]")
     c, s = np.cos(theta / 2)[:, None, None], np.sin(theta / 2)[:, None, None]
     q = np.empty((len(theta), len(alpha), len(beta), 4))
     q[..., 0] = c * np.cos(alpha)[:, None]

@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import math
 import re
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import qpd3
+import qpd3.cli
 import qpd3.verify
 from qpd3.cli import (
     DEFAULT_SEED,
@@ -565,6 +567,58 @@ def test_options_are_pinned_and_nothing_reads_the_environment():
 
 PAYOFF_ARGS = ["payoff", "--gamma", "0", "--delta", "0",
                "--alice", "0,0,0", "--bob", "0,0,0", "--charlie", "0,0,0"]
+
+
+DECODE_ARGS = ["comm", "decode", "--fixture", "table2", "--common", "0,0", "--observed", "2,2"]
+
+
+def _with(argv, option, text):
+    """``argv`` with ``option``'s value replaced by ``text``."""
+    argv = list(argv)
+    argv[argv.index(option) + 1] = text
+    return argv
+
+
+@pytest.mark.parametrize(
+    "argv,needles",
+    [
+        (_with(PAYOFF_ARGS, "--gamma", "x"), ["argument --gamma: ", "'x'"]),
+        (["table", "--gamma", "0", "--delta", "pi/0"], ["argument --delta: ", "'pi/0'"]),
+        (_with(PAYOFF_ARGS, "--alice", "0,0"), ["argument --alice: ", "'0,0'"]),
+        (_with(PAYOFF_ARGS, "--bob", "0,x,0"), ["argument --bob: ", "'x'"]),
+        (_with(PAYOFF_ARGS, "--bob", "4,0,0"), ["argument --bob: ", "theta must lie in"]),
+        (_with(PAYOFF_ARGS, "--charlie", "0,0,0,0"), ["argument --charlie: ", "'0,0,0,0'"]),
+        (_with(DECODE_ARGS, "--common", "x,0"), ["argument --common: ", "'x'"]),
+        (_with(DECODE_ARGS, "--observed", "nan"), ["argument --observed: ", "'nan'"]),
+        (["nash", "--scan", "--grid", "1,2,2"], ["argument --grid: ", "at least 2 points"]),
+        (["verify", "--seed", "x"], ["argument --seed: ", "'x'"]),
+        (PAYOFF_ARGS[:-2], ["the following arguments are required: --charlie"]),
+        (["table", "--gamma", "0", "--delta", "0", "--format", "xml"],
+         ["argument --format: ", "'xml'"]),
+        (PAYOFF_ARGS + ["--bogus"], ["unrecognized arguments: --bogus"]),
+    ],
+    ids=["gamma", "delta", "alice", "bob", "bob-out-of-range", "charlie", "common",
+         "observed", "grid", "seed", "missing-option", "bad-choice", "unknown-flag"],
+)
+def test_every_bad_input_is_one_line_naming_the_option(tmp_path, capsys, argv, needles):
+    assert_usage_error(argv, tmp_path, capsys, *needles)
+
+
+def test_every_text_option_is_converted_by_the_parser():
+    # An option whose text reached a handler would be parsed there, and its
+    # errors would not name it; only file paths stay text.
+    unconverted = sorted(
+        f"{command} {action.option_strings[0]}"
+        for command, parser in _leaf_parsers(build_parser())
+        for action in parser._actions
+        if action.option_strings and action.nargs != 0
+        and action.type is None and action.choices is None
+        and action.option_strings[0] not in ("--out", "--payoffs")
+    )
+    assert unconverted == []
+    handlers = [f for name, f in vars(qpd3.cli).items() if name.startswith("cmd_")]
+    assert len(handlers) == 6
+    assert [f.__name__ for f in handlers if "parse_" in inspect.getsource(f)] == []
 
 
 class TestRemovedFlags:
