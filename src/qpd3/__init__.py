@@ -20,7 +20,6 @@ from .game import (
     PayoffTriple,
     StrategyParams,
     expected_payoffs,
-    measurement_basis,
     moves,
     outcome_probabilities,
 )
@@ -64,7 +63,7 @@ __all__ = [
     "__version__",
     # game
     "OUTCOMES", "PLAYERS", "REGIMES", "StrategyParams", "PayoffTriple", "PayoffTable",
-    "DEFAULT_PAYOFF_TABLE", "GameConfig", "moves", "measurement_basis",
+    "DEFAULT_PAYOFF_TABLE", "GameConfig", "moves",
     "outcome_probabilities", "expected_payoffs",
     # closedform
     "ComparisonReport", "closed_form_payoffs",

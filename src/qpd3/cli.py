@@ -39,6 +39,7 @@ from .comms import (
     COLUMNS,
     CODEWORDS,
     ObservationModel,
+    ProtocolTable,
     auto_fixture,
     decode,
     fixture_diff,
@@ -106,7 +107,12 @@ def parse_pair(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
         raise UsageError(f"expected 'theta_b,theta_c', got {text!r}")
-    return (parse_angle(parts[0]), parse_angle(parts[1]))
+    pair = (parse_angle(parts[0]), parse_angle(parts[1]))
+    try:
+        ProtocolTable.column_index(pair)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return pair
 
 
 def parse_grid(text: str) -> GridSpec:
@@ -432,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Three-player quantum Prisoner's Dilemma: payoffs, equilibria, signaling.",
     )
     parser.add_argument("--version", action="version", version=f"qpd3 {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(required=True)
 
     p = sub.add_parser("payoff", help="oracle payoffs for one profile")
     p.add_argument("--gamma", required=True, type=parse_angle)
@@ -467,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_nash)
 
     p = sub.add_parser("comm", help="signaling protocol simulation and decoding")
-    comm_sub = p.add_subparsers(dest="comm_command", required=True)
+    comm_sub = p.add_subparsers(required=True)
 
     ps = comm_sub.add_parser("simulate", help="run the protocol over a config")
     ps.add_argument("--gamma", required=True, type=parse_angle)

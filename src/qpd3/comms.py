@@ -124,7 +124,8 @@ class ProtocolTable:
     def entry(self, row: int, col: int) -> PayoffTriple:
         return PayoffTriple(*self.payoffs[row, col].tolist())
 
-    def column_index(self, move_pair: tuple[float, float]) -> int:
+    @staticmethod
+    def column_index(move_pair: tuple[float, float]) -> int:
         for j, col in enumerate(COLUMNS):
             if all(abs(a - b) <= ATOL for a, b in zip(col, move_pair)):
                 return j

@@ -14,8 +14,8 @@ form.
 
 ``outcome_probabilities`` is the one place the rule is evaluated, for a single
 profile or a batch of them; the initial state and the basis signs are built
-into it.  ``moves`` gives the players' 2x2 matrices and ``measurement_basis``
-the arbiter's vectors, for checks.  ``expected_payoffs`` wraps the kernel for
+into it, so it is the only statement of the arbiter's basis.  ``moves`` gives
+the players' 2x2 matrices, for checks.  ``expected_payoffs`` wraps the kernel for
 one profile and is the package-wide oracle: every closed-form expression,
 protocol table and equilibrium scan elsewhere in the package is validated
 against it.
@@ -222,30 +222,11 @@ def moves(params) -> np.ndarray:
     return u
 
 
-# Outcomes whose basis vector carries +i sin(delta/2) on the partner label;
-# the complementary family carries -i sin(delta/2).
+# The arbiter's vector for outcome lmn is cos(delta/2)|lmn> +- i sin(delta/2)|l'm'n'>,
+# paired with the bitwise complement: the plus sign on this family, the minus
+# sign on the rest.  At delta = 0 it is the computational basis.
 _PLUS_FAMILY = frozenset({"000", "111", "001", "110"})
 _SIGNS = np.array([1.0 if o in _PLUS_FAMILY else -1.0 for o in OUTCOMES])
-
-
-def measurement_basis(delta: float) -> list[np.ndarray]:
-    """The arbiter's 8 orthonormal measurement vectors, indexed by outcome.
-
-    Each vector pairs an outcome ``lmn`` with its bitwise complement:
-    ``cos(delta/2)|lmn> +- i sin(delta/2)|l'm'n'>`` with the plus sign on the
-    {000, 111, 001, 110} family and the minus sign on the rest.  At delta=0
-    this is the computational basis.
-    """
-    delta = _check_range("delta", delta, 0.0, _ANGLE_HI)
-    c = math.cos(delta / 2)
-    s = math.sin(delta / 2)
-    basis = []
-    for b in range(len(OUTCOMES)):
-        v = np.zeros(8, dtype=complex)
-        v[b] = c
-        v[7 - b] += _SIGNS[b] * 1j * s
-        basis.append(v)
-    return basis
 
 
 def outcome_probabilities(gamma, delta, pa, pb, pc) -> np.ndarray:

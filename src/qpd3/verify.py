@@ -35,7 +35,6 @@ from .game import (
     ATOL,
     DEFAULT_PAYOFF_TABLE,
     PAYOFF_TOL,
-    measurement_basis,
     outcome_probabilities,
 )
 
@@ -53,6 +52,20 @@ def report_doc(inputs: dict, results: dict, fixtures_compared=None, verdicts=Non
 
 def _check(name: str, ok: bool, detail: dict) -> dict:
     return {"check": name, "pass": bool(ok), **detail}
+
+
+def _sums_to_one(name: str, gamma, delta, players) -> dict:
+    """Check ``name``: every row of one kernel call sums to 1 within ``ATOL``.
+
+    The kernel raises on a miss beyond ``ATOL``, and that error is the
+    check's failure; a smaller miss is measured here, not left to the kernel.
+    """
+    try:
+        probs = outcome_probabilities(gamma, delta, *players)
+    except ValueError as exc:
+        return _check(name, False, {"error": str(exc)})
+    worst = float(np.max(np.abs(probs.sum(axis=1) - 1.0)))
+    return _check(name, worst <= ATOL, {"max_abs_sum_error": worst})
 
 
 def checks(results: dict) -> list[tuple[str, bool]]:
@@ -81,31 +94,23 @@ def build_verify_bundle(seed: int) -> tuple[dict, list]:
     worst = float(np.max(np.abs(table.expected(probs) - np.array(table.entries)[bits])))
     results["classical_limit"] = _check("classical_limit", worst <= ATOL, {"max_abs_error": worst})
 
-    # Measurement basis: orthonormal and complete across a delta sweep.
-    worst_gram = worst_sum = 0.0
-    for delta in np.linspace(0.0, math.pi / 2, 50):
-        basis = np.stack(measurement_basis(float(delta)))
-        gram = basis.conj() @ basis.T
-        worst_gram = max(worst_gram, float(np.max(np.abs(gram - np.eye(8)))))
-        proj_sum = sum(np.outer(v, v.conj()) for v in basis)
-        worst_sum = max(worst_sum, float(np.max(np.abs(proj_sum - np.eye(8)))))
-    results["basis_completeness"] = _check(
-        "basis_completeness",
-        worst_gram <= ATOL and worst_sum <= ATOL,
-        {"max_gram_error": worst_gram, "max_projector_sum_error": worst_sum},
+    # Measurement basis, through the kernel itself.  At gamma = 0 each player
+    # sends |0>, |1>, |+> or |+i>, and the 64 product projectors span every
+    # 8x8 operator.  So if every row sums to 1, the kernel's 8 outcome
+    # effects sum to the identity at each of the 16 deltas; each effect has
+    # rank 1, so the basis the kernel applies is orthonormal and complete.
+    half = math.pi / 2
+    states = np.array([(0.0, 0.0, 0.0), (math.pi, 0.0, 0.0), (half, 0.0, half), (half, 0.0, 0.0)])
+    index = np.indices((16, 4, 4, 4)).reshape(4, -1)
+    results["basis_completeness"] = _sums_to_one(
+        "basis_completeness", 0.0, np.linspace(0.0, half, 16)[index[0]], states[index[1:]]
     )
 
-    # Born conservation over 1000 seeded draws of the whole space.  The kernel
-    # itself raises once a row misses 1 by more than ATOL, so that error is
-    # this check's failure.
+    # Born conservation over 1000 seeded draws of the whole space.
     gamma, delta, params = sample_any(rng, 1000)
-    try:
-        probs = outcome_probabilities(gamma, delta, *params.transpose(1, 0, 2))
-    except ValueError as exc:
-        born = {"error": str(exc)}
-    else:
-        born = {"max_abs_sum_error": float(np.max(np.abs(probs.sum(axis=1) - 1.0)))}
-    results["born_conservation"] = _check("born_conservation", "error" not in born, born)
+    results["born_conservation"] = _sums_to_one(
+        "born_conservation", gamma, delta, params.transpose(1, 0, 2)
+    )
 
     # Four-regime scan: the PP and EE values are analytically forced; the
     # mixed-regime bound and equality claims are measured verdicts.

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from qpd3 import CODEWORDS, GameConfig, PayoffTriple, StrategyParams, measurement_basis
+from qpd3 import CODEWORDS, GameConfig, PayoffTriple, StrategyParams
 from qpd3.game import PAYOFF_TOL
 
 
@@ -34,12 +34,27 @@ def _move(theta, alpha, beta) -> np.ndarray:
     return math.cos(theta / 2) * r + math.sin(theta / 2) * p
 
 
+# Outcomes lmn whose measurement vector adds +i sin(delta/2)|l'm'n'>; the
+# rest add -i sin(delta/2)|l'm'n'>.  Typed here apart from the kernel's signs.
+_REFERENCE_PLUS = {"000", "111", "001", "110"}
+
+
+def reference_basis(delta: float) -> np.ndarray:
+    """The arbiter's 8 measurement vectors as rows, outcome ``b`` on row ``b``:
+    ``cos(delta/2)|b> +- i sin(delta/2)|7-b>``, with ``7 - b`` the bitwise complement."""
+    basis = math.cos(delta / 2) * np.eye(8, dtype=complex)
+    for b in range(8):
+        sign = 1.0 if f"{b:03b}" in _REFERENCE_PLUS else -1.0
+        basis[b, 7 - b] += sign * 1j * math.sin(delta / 2)
+    return basis
+
+
 def trace_rule_payoffs(config: GameConfig, pa, pb, pc) -> tuple[float, float, float]:
     """Reference payoffs from the density-matrix trace rule ``<psi_lmn| rho_f |psi_lmn>``.
 
     Each player is a ``(theta, alpha, beta)`` triple.  Shares no code with the
-    package's kernel: it builds its own moves and initial state, and takes the
-    measurement vectors from ``measurement_basis``, which the kernel never calls.
+    package's kernel: it builds its own moves, initial state and measurement
+    vectors (``reference_basis``).
     """
     u = np.kron(np.kron(_move(*pa), _move(*pb)), _move(*pc))
     # cos(gamma/2)|000> + i sin(gamma/2)|111>
@@ -48,7 +63,7 @@ def trace_rule_payoffs(config: GameConfig, pa, pb, pc) -> tuple[float, float, fl
     psi0[7] = 1j * math.sin(config.gamma / 2)
     rho_f = u @ np.outer(psi0, psi0.conj()) @ u.conj().T
     assert abs(np.trace(rho_f) - 1.0) < 1e-12
-    probs = np.array([np.vdot(v, rho_f @ v).real for v in measurement_basis(config.delta)])
+    probs = np.array([np.vdot(v, rho_f @ v).real for v in reference_basis(config.delta)])
     return tuple(float(probs @ config.payoffs.column(k)) for k in range(3))
 
 

@@ -30,7 +30,6 @@ from qpd3 import (
     four_case_scan,
     info_relation_report,
     information_bits,
-    measurement_basis,
     oracle_regime_tables,
     outcome_probabilities,
     sample_any,
@@ -101,17 +100,38 @@ def test_criterion_03_max_entanglement_value():
 
 
 def test_criterion_04_measurement_basis_complete():
-    worst_gram = worst_sum = 0.0
-    for delta in np.linspace(0.0, HALF_PI, 50):
-        basis = np.stack(measurement_basis(float(delta)))
-        worst_gram = max(worst_gram, float(np.max(np.abs(basis.conj() @ basis.T - np.eye(8)))))
-        total = sum(np.outer(v, v.conj()) for v in basis)
-        worst_sum = max(worst_sum, float(np.max(np.abs(total - np.eye(8)))))
-    assert worst_gram <= 1e-12
+    # The kernel's own outcome effects E_k, read back from its probabilities
+    # at gamma = 0: each player sends |0>, |1>, |+> or |+i>, and the 64
+    # product projectors span every 8x8 operator, so an outcome's 64
+    # probabilities fix its effect.
+    states = np.array(
+        [(0.0, 0.0, 0.0), (math.pi, 0.0, 0.0), (HALF_PI, 0.0, HALF_PI), (HALF_PI, 0.0, 0.0)]
+    )
+    kets = np.array([[1, 0], [0, 1], [1, 1], [1, 1j]]) / np.sqrt([[1], [1], [2], [2]])
+    products = np.einsum("ai,bj,ck->abcijk", kets, kets, kets).reshape(64, 8)
+    # <phi|E|phi> = sum_ij conj(phi_i) E_ij phi_j
+    readout = np.einsum("ni,nj->nij", products.conj(), products).reshape(64, 64)
+    deltas = np.linspace(0.0, HALF_PI, 50)
+    index = np.indices((50, 4, 4, 4)).reshape(4, -1)
+    probs = outcome_probabilities(0.0, deltas[index[0]], *states[index[1:]]).reshape(50, 64, 8)
+    worst_sum = float(np.max(np.abs(probs.sum(axis=2) - 1.0)))
+    worst_effect = 0.0
+    for p in probs:
+        effects = np.linalg.solve(readout, p.astype(complex)).T.reshape(8, 8, 8)
+        # orthogonal projectors of trace 1 that sum to I: an orthonormal basis
+        products_kl = np.einsum("kij,ljm->klim", effects, effects)
+        want = np.einsum("kl,kim->klim", np.eye(8), effects)
+        worst_effect = max(
+            worst_effect,
+            float(np.max(np.abs(products_kl - want))),
+            float(np.max(np.abs(np.trace(effects, axis1=1, axis2=2) - 1.0))),
+            float(np.max(np.abs(effects.sum(axis=0) - np.eye(8)))),
+        )
     assert worst_sum <= 1e-12
+    assert worst_effect <= 1e-12
     report(
-        f"[PASS] criterion 4: measurement basis orthonormal and complete "
-        f"(gram {worst_gram:.2e}, sum {worst_sum:.2e})"
+        f"[PASS] criterion 4: the kernel's measurement basis is orthonormal and complete "
+        f"(sum {worst_sum:.2e}, effects {worst_effect:.2e})"
     )
 
 
@@ -266,7 +286,7 @@ def _skeleton(node):
 
 #: sha256 of the seed-1729 bundle's skeleton: a change to the bundle's keys,
 #: strings, verdicts or record counts must update this on purpose.
-BUNDLE_SKELETON_SHA256 = "4c22e013beffe676a3c0a98b607de0c994f8275e3e95be3d9d0d5cade6e3996e"
+BUNDLE_SKELETON_SHA256 = "35f1e3da6c52baadc613a3b2d10187b5358b56bde8778d764991a8bcc53716ba"
 
 #: sha256 of the ``qpd3 nash --scan`` report's skeleton, pinned the same way.
 SCAN_SKELETON_SHA256 = "04bd7d86ada4303cce72ae2c951bd785b810cf4411c7e4ecfd4d14b525bff6bf"

@@ -33,7 +33,8 @@ def assert_usage_error(argv, tmp_path, capsys, *needles):
     """``argv`` exits 2 with one ``error:`` line naming ``needles`` and writes nothing."""
     out = tmp_path / "report.json"
     with pytest.raises(SystemExit) as excinfo:
-        main(argv + ["--out", str(out)])
+        # one word, so that no subcommand takes the path for its name
+        main(argv + [f"--out={out}"])
     assert excinfo.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -483,16 +484,31 @@ class TestVerify:
         assert main(["verify", "--out", str(tmp_path / "v.json")]) == 1
         assert "FAIL  born_conservation" in capsys.readouterr().err
 
+    def test_unraised_basis_miss_is_reported(self, monkeypatch):
+        # rows that miss 1 by 1e-9 with no error raised: the check measures
+        # the miss itself rather than relying on the kernel to raise
+        kernel = qpd3.verify.outcome_probabilities
+
+        def drifting(*args):
+            return kernel(*args) * (1.0 + 1e-9)
+
+        monkeypatch.setattr(qpd3.verify, "outcome_probabilities", drifting)
+        doc, hard = build_verify_bundle(DEFAULT_SEED)
+        record = doc["results"]["basis_completeness"]
+        assert record["pass"] is False
+        assert record["max_abs_sum_error"] == pytest.approx(1e-9, rel=1e-6)
+        assert "basis_completeness" in hard
+
     def test_kernel_calls_per_bundle(self, monkeypatch):
         # The kernel evaluates moves once per call, so counting moves counts
         # kernel calls.
         spy = mock.Mock(wraps=qpd3.game.moves)
         monkeypatch.setattr(qpd3.game, "moves", spy)
         build_verify_bundle(DEFAULT_SEED)
-        # 1 classical-limit batch, 1 Born-conservation batch, 4 protocol
-        # tables, 6 certificates x 4 calls, and 2 x 1000 closed-form samples
-        # checked one oracle call each.
-        assert spy.call_count == 2030
+        # 1 classical-limit batch, 1 basis batch, 1 Born-conservation batch,
+        # 4 protocol tables, 6 certificates x 4 calls, and 2 x 1000
+        # closed-form samples checked one oracle call each.
+        assert spy.call_count == 2031
 
     def test_negative_seed_names_the_option(self, tmp_path, capsys):
         assert_usage_error(["verify", "--seed", "-1"], tmp_path, capsys, "--seed", "-1")
@@ -596,9 +612,13 @@ def _with(argv, option, text):
         (["table", "--gamma", "0", "--delta", "0", "--format", "xml"],
          ["argument --format: ", "'xml'"]),
         (PAYOFF_ARGS + ["--bogus"], ["unrecognized arguments: --bogus"]),
+        ([], ["required: {payoff,table,nash,comm,verify}"]),
+        (["comm"], ["required: {simulate,decode}"]),
+        (_with(DECODE_ARGS, "--common", "0,pi/2"), ["argument --common: ", "not a table column"]),
     ],
     ids=["gamma", "delta", "alice", "bob", "bob-out-of-range", "charlie", "common",
-         "observed", "grid", "seed", "missing-option", "bad-choice", "unknown-flag"],
+         "observed", "grid", "seed", "missing-option", "bad-choice", "unknown-flag",
+         "missing-command", "missing-comm-command", "common-off-column"],
 )
 def test_every_bad_input_is_one_line_naming_the_option(tmp_path, capsys, argv, needles):
     assert_usage_error(argv, tmp_path, capsys, *needles)

@@ -1,3 +1,4 @@
+import ast
 import math
 import re
 from pathlib import Path
@@ -15,12 +16,17 @@ from qpd3 import (
     PayoffTable,
     StrategyParams,
     expected_payoffs,
-    measurement_basis,
     moves,
     outcome_probabilities,
 )
 
-from conftest import classical_payoff, random_config, random_params, trace_rule_payoffs
+from conftest import (
+    classical_payoff,
+    random_config,
+    random_params,
+    reference_basis,
+    trace_rule_payoffs,
+)
 
 HALF_PI = math.pi / 2
 IDENTITY = (0.0, 0.0, 0.0)
@@ -97,34 +103,31 @@ class TestStrategyUnitary:
 
 
 class TestMeasurementBasis:
+    """The reference basis that ``trace_rule_payoffs`` measures in."""
+
     def test_product_basis_is_computational(self):
-        for b, v in enumerate(measurement_basis(0.0)):
-            assert np.array_equal(v, basis8(b))
+        assert np.array_equal(reference_basis(0.0), np.eye(8))
 
     def test_entangled_row_100(self):
-        v = measurement_basis(HALF_PI)[OUTCOMES.index("100")]
+        v = reference_basis(HALF_PI)[OUTCOMES.index("100")]
         want = (basis8(4) - 1j * basis8(3)) / math.sqrt(2)
         assert np.max(np.abs(v - want)) < 1e-12
 
     def test_entangled_row_000(self):
-        v = measurement_basis(HALF_PI)[0]
+        v = reference_basis(HALF_PI)[0]
         want = (basis8(0) + 1j * basis8(7)) / math.sqrt(2)
         assert np.max(np.abs(v - want)) < 1e-12
 
     def test_gram_matrix_identity(self):
         for delta in np.linspace(0.0, HALF_PI, 50):
-            basis = np.stack(measurement_basis(float(delta)))
+            basis = reference_basis(float(delta))
             gram = basis.conj() @ basis.T
             assert np.max(np.abs(gram - np.eye(8))) < 1e-12
 
     def test_projectors_complete(self):
         for delta in np.linspace(0.0, HALF_PI, 50):
-            total = sum(np.outer(v, v.conj()) for v in measurement_basis(float(delta)))
+            total = sum(np.outer(v, v.conj()) for v in reference_basis(float(delta)))
             assert np.max(np.abs(total - np.eye(8))) < 1e-12
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            measurement_basis(math.pi)
 
 
 class TestOutcomeDistribution:
@@ -406,7 +409,7 @@ PUBLIC_NAMES = """
     REGIMES REGIME_FIXTURES StrategyParams __version__ closed_form_payoffs
     common_move compare_to_oracle decode expected_payoffs fixture_regime_tables
     fixture_table four_case_scan info_relation_report information_bits
-    max_entanglement_payoffs measurement_basis moves oracle_regime_tables
+    max_entanglement_payoffs moves oracle_regime_tables
     outcome_probabilities protocol_table sample_any sample_classical_limit
     sample_pure_moves verify_nash
 """.split()
@@ -414,7 +417,7 @@ PUBLIC_NAMES = """
 
 def test_public_surface_is_pinned():
     assert sorted(qpd3.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 42
+    assert len(PUBLIC_NAMES) == 41
     for name in PUBLIC_NAMES:
         getattr(qpd3, name)
 
@@ -441,3 +444,22 @@ def test_every_public_name_has_a_caller():
         name for name in qpd3.__all__ if count(name, package) < 2 and count(name, shown) < 1
     ]
     assert unused == []
+
+
+#: Kernel code the density-matrix reference must not borrow.
+KERNEL_NAMES = {"outcome_probabilities", "moves", "expected_payoffs", "_SIGNS", "_PLUS_FAMILY"}
+
+
+def test_reference_shares_no_code_with_the_kernel():
+    # trace_rule_payoffs cross-checks the kernel only while it builds its own
+    # moves, state and basis; a kernel name imported or read from qpd3 in
+    # conftest would make it check the kernel against itself
+    tree = ast.parse((Path(__file__).parent / "conftest.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("qpd3")
+        for alias in node.names
+    }
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert sorted((imported | read) & KERNEL_NAMES) == []
