@@ -129,6 +129,14 @@ class TestMeasurementBasis:
             total = sum(np.outer(v, v.conj()) for v in reference_basis(float(delta)))
             assert np.max(np.abs(total - np.eye(8))) < 1e-12
 
+    def test_rejects_out_of_range(self):
+        # the basis is defined for delta in [0, pi/2] only; the kernel that
+        # applies it and the config that carries delta both refuse delta = pi
+        with pytest.raises(ValueError):
+            outcome_probabilities(0.0, math.pi, *(IDENTITY,) * 3)
+        with pytest.raises(ValueError):
+            GameConfig(0.0, math.pi)
+
 
 class TestOutcomeDistribution:
     def test_all_cooperate_classical(self):
