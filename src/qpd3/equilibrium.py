@@ -12,9 +12,12 @@ with ``cos(theta/2) e^{i alpha} = q0 + i q3`` and
 ``sin(theta/2) e^{i beta} = q1 - i q2``.  The final state is linear in the
 deviating player's ``q``, so with the other two moves fixed each outcome
 probability, and hence the player's payoff, is a real quadratic form
-``q^T Q q``.  One kernel call of 10 moves fixes ``Q`` by polarization, and
-the grid is scanned by evaluating the form at every grid quaternion; the
-Born rule itself is evaluated only in ``game.outcome_probabilities``.
+``q^T Q q``.  One kernel call of 10 moves fixes ``Q`` by polarization.  A
+grid move is ``q = (c cos alpha, s cos beta, -s sin beta, c sin alpha)`` with
+``c, s = cos, sin(theta/2)``, so the form splits along the grid's axes into
+``c^2 A(alpha) + s^2 B(beta) + 2cs C(alpha, beta)``, and the grid is scanned
+by summing those parts over the (theta, alpha, beta) grid.  The Born rule
+itself is evaluated only in ``game.outcome_probabilities``.
 
 The four regimes are ``game.REGIMES``: the initial state and the
 measurement basis are each product (P) or maximally entangled (E).
@@ -46,9 +49,9 @@ _THETA_ANCHORS = np.array([0.0, math.pi / 2, math.pi])
 _PHASE_ANCHORS = np.array([-math.pi, 0.0, math.pi / 2, math.pi])
 
 #: Largest grid a ``GridSpec`` accepts, in points per player.  A certificate
-#: pass holds about 80 bytes per candidate at its peak (tracemalloc over
+#: pass holds about 19 bytes per candidate at its peak (tracemalloc over
 #: ``verify_nash`` on the 53,361-point refined default grid), so this cap
-#: keeps one pass near 80 MB instead of letting a typo ask for tens of GB.
+#: keeps one pass near 20 MB instead of letting a typo ask for GBs.
 MAX_GRID_POINTS = 1_000_000
 
 #: Deviating moves whose payoffs fix a player's quadratic form: the basis
@@ -187,18 +190,40 @@ class EquilibriumReport:
         return record
 
 
-def _grid_quaternions(grid: GridSpec) -> np.ndarray:
-    """Unit quaternions of the grid's moves, ``(G, 4)``, in lexicographic
-    (theta, alpha, beta) order: row ``g`` is the move at the axis indices
-    ``np.unravel_index(g, (len(theta), len(alpha), len(beta)))``."""
+def _grid_factors(grid: GridSpec) -> tuple[np.ndarray, ...]:
+    """The grid's moves in product form ``(c, s, u, v)``: the move at axis
+    indices ``(t, a, b)`` is ``q = (c[t] u[a, 0], s[t] v[b, 0], s[t] v[b, 1],
+    c[t] u[a, 1])``, with ``c, s = cos, sin(theta/2)``, ``u = (cos alpha,
+    sin alpha)`` and ``v = (cos beta, -sin beta)``."""
     theta, alpha, beta = grid.theta_values(), grid.alpha_values(), grid.beta_values()
-    c, s = np.cos(theta / 2)[:, None, None], np.sin(theta / 2)[:, None, None]
-    q = np.empty((len(theta), len(alpha), len(beta), 4))
-    q[..., 0] = c * np.cos(alpha)[:, None]
-    q[..., 1] = s * np.cos(beta)
-    q[..., 2] = -s * np.sin(beta)
-    q[..., 3] = c * np.sin(alpha)[:, None]
-    return q.reshape(-1, 4)
+    return (
+        np.cos(theta / 2),
+        np.sin(theta / 2),
+        np.stack([np.cos(alpha), np.sin(alpha)], axis=1),
+        np.stack([np.cos(beta), -np.sin(beta)], axis=1),
+    )
+
+
+#: Quaternion components set by alpha (``q0``, ``q3``) and by beta (``q1``, ``q2``).
+_ALPHA_PART, _BETA_PART = [0, 3], [1, 2]
+
+
+def _grid_max(form: np.ndarray, factors: tuple[np.ndarray, ...]) -> float:
+    """Largest ``q^T Q q`` over the grid of ``_grid_factors``.
+
+    Split by the two parts of ``q``, the form is ``c^2 A(alpha) + s^2 B(beta)
+    + 2cs C(alpha, beta)``, with ``A = u^T Q_aa u`` and ``B = v^T Q_bb v`` on
+    the ``_ALPHA_PART`` and ``_BETA_PART`` blocks of ``Q`` and ``C = u^T Q_ab
+    v`` on the block between them: two axis-length quadratic forms and one
+    alpha-by-beta matrix, summed over the whole grid in one array.
+    """
+    c, s, u, v = factors
+    a = ((u @ form[np.ix_(_ALPHA_PART, _ALPHA_PART)]) * u).sum(axis=1)
+    b = ((v @ form[np.ix_(_BETA_PART, _BETA_PART)]) * v).sum(axis=1)
+    cross = u @ form[np.ix_(_ALPHA_PART, _BETA_PART)] @ v.T
+    c, s = c[:, None, None], s[:, None, None]
+    payoffs = c * c * a[:, None] + s * s * b + 2 * c * s * cross
+    return float(payoffs.max())
 
 
 def _payoff_form(
@@ -235,18 +260,18 @@ def verify_nash(
 ) -> EquilibriumReport:
     """Measure every player's unilateral grid-deviation gain at ``profile``.
 
-    The played payoffs come from the oracle; each player's grid payoffs come
-    from their payoff form at the grid quaternions, built once for all three.
-    That makes four kernel calls of at most 10 rows, whatever the grid size.
+    The played payoffs come from the oracle; each player's best grid payoff
+    comes from their payoff form, scanned over the grid's axes
+    (``_grid_max``), which are built once for all three.  That makes four
+    kernel calls of at most 10 rows, whatever the grid size.
     """
     payoff = expected_payoffs(config, *profile.as_tuple())
-    quaternions = _grid_quaternions(grid)
+    factors = _grid_factors(grid)
     gaps = []
     for k in range(3):
         others = tuple(p for i, p in enumerate(profile.as_tuple()) if i != k)
-        form = _payoff_form(k, others, config)
-        payoffs = np.einsum("gi,gi->g", quaternions @ form, quaternions)
-        gaps.append(max(float(payoffs.max()) - payoff[k], 0.0))
+        best = _grid_max(_payoff_form(k, others, config), factors)
+        gaps.append(max(best - payoff[k], 0.0))
     return EquilibriumReport(profile, payoff, tuple(gaps), grid)
 
 

@@ -173,8 +173,11 @@ class PayoffTable:
 
     def expected(self, probs: np.ndarray) -> np.ndarray:
         """Expected payoffs ``(N, 3)`` for ``(N, 8)`` outcome probabilities: one dot
-        per row and player, so a batch row equals the single-profile payoff bit for bit."""
-        return np.array([[row @ column for column in self._columns] for row in probs])
+        per row and player, so a batch row equals the single-profile payoff bit for bit.
+        Rows are read C-contiguous: a strided row would take another dot path
+        and could differ in the last bit."""
+        rows = np.ascontiguousarray(probs)
+        return np.array([[row @ column for column in self._columns] for row in rows])
 
     def as_mapping(self) -> dict[str, list[float]]:
         return {o: list(row) for o, row in zip(OUTCOMES, self.entries)}

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,9 @@ from qpd3 import (
 from qpd3.equilibrium import (
     _POLAR_MOVES,
     MAX_GRID_POINTS,
-    _grid_quaternions,
+    _grid_factors,
+    _grid_max,
+    _named_profile,
     _payoff_form,
 )
 from qpd3.game import ATOL, PAYOFF_TOL, moves
@@ -42,6 +45,12 @@ def quaternions_of(params) -> np.ndarray:
     ``U[0, 0] = q0 + i q3`` and ``U[0, 1] = q2 + i q1``."""
     u = moves(params)
     return np.stack([u[..., 0, 0].real, u[..., 0, 1].imag, u[..., 0, 1].real, u[..., 0, 0].imag], -1)
+
+
+def dense_grid_payoffs(form: np.ndarray, quats: np.ndarray) -> np.ndarray:
+    """``q^T Q q`` at each ``(G, 4)`` row of ``quats``: the form evaluated
+    point by point, without the product structure of the grid."""
+    return np.einsum("gi,gi->g", quats @ form, quats)
 
 
 def exact_gaps(profile: Profile, config: GameConfig) -> list[float]:
@@ -136,12 +145,31 @@ class TestBatchedKernel:
         expected = [sum(qi * p for qi, p in zip(q, pauli)) for q in quats]
         assert np.allclose(moves(_POLAR_MOVES), expected, rtol=0.0, atol=1e-15)
 
-    @pytest.mark.parametrize("grid", [SMALL_GRID, GridSpec()], ids=["5x5x5", "default"])
-    def test_grid_quaternions_follow_candidate_order(self, grid):
-        quats = _grid_quaternions(grid)
-        assert quats.shape == (grid.size(), 4)
-        read_off = quaternions_of(grid_moves(grid))
-        assert np.allclose(quats, read_off, rtol=0.0, atol=1e-15)
+    @pytest.mark.parametrize(
+        "grid",
+        [SMALL_GRID, GridSpec(4, 6, 6), GridSpec(), GridSpec().refined()],
+        ids=["5x5x5", "4x6x6", "default", "refined"],
+    )
+    def test_grid_max_matches_dense_reference(self, grid):
+        # the scan over the grid's axes against the form at every grid
+        # quaternion read off the moves themselves: the four regime corners
+        # and seeded interior (gamma, delta), stated and random profiles.
+        # 4x6x6 has phase axes that are not symmetric about 0, so a sign
+        # slip in a phase part cannot hide behind a mirrored grid point
+        quats = quaternions_of(grid_moves(grid))
+        factors = _grid_factors(grid)
+        rng = np.random.default_rng(16)
+        points = list(REGIMES.values()) + [tuple(rng.uniform(0, HALF_PI, 2)) for _ in range(3)]
+        stated = [_named_profile(theta) for theta in (0.0, HALF_PI, math.pi)]
+        for gamma, delta in points:
+            config = GameConfig(gamma, delta)
+            random = [Profile(*(random_params(rng) for _ in range(3))) for _ in range(2)]
+            for profile in stated + random:
+                played = profile.as_tuple()
+                for k in range(3):
+                    form = _payoff_form(k, played[:k] + played[k + 1:], config)
+                    dense = float(dense_grid_payoffs(form, quats).max())
+                    assert abs(_grid_max(form, factors) - dense) <= 1e-12
 
     def test_grid_path_matches_trace_rule(self, rng):
         # 10 configs x 100 candidate rows = 1000 seeded profiles, spread over
@@ -153,7 +181,7 @@ class TestBatchedKernel:
             others = (random_params(rng), random_params(rng))
             quats = quaternions_of(candidates)
             form = _payoff_form(player, others, config)
-            for row, got in zip(candidates, np.einsum("gi,gi->g", quats @ form, quats)):
+            for row, got in zip(candidates, dense_grid_payoffs(form, quats)):
                 profile = [p.as_tuple() for p in others]
                 profile.insert(player, tuple(row))
                 assert abs(got - trace_rule_payoffs(config, *profile)[player]) < 1e-12
@@ -179,6 +207,19 @@ class TestBatchedKernel:
         verify_nash(profile, GameConfig(0.3, 0.7), GridSpec().refined())
         assert len(rows) == 4
         assert max(rows) <= 10
+
+    def test_refined_grid_peak_memory_per_candidate(self):
+        # the scan holds at most three grid-sized float arrays at once
+        grid = GridSpec().refined()
+        profile, config = Profile(defect(), cooperate(), cooperate()), GameConfig(0.3, 0.7)
+        verify_nash(profile, config, grid)
+        tracemalloc.start()
+        try:
+            verify_nash(profile, config, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * grid.size()
 
     def test_unbalanced_probabilities_are_rejected(self, monkeypatch):
         # off by 1e-9 in one outcome: the kernel's own row check never sees it
@@ -328,8 +369,8 @@ class TestVerifyNash:
         config, grid = GameConfig(0.3, 0.9), GridSpec(3, 3, 3)
         report = verify_nash(profile, config, grid)
         others = profile.as_tuple()[1:]
-        quats, form = _grid_quaternions(grid), _payoff_form(0, others, config)
-        best_grid = float(np.einsum("gi,gi->g", quats @ form, quats).max())
+        quats, form = quaternions_of(grid_moves(grid)), _payoff_form(0, others, config)
+        best_grid = float(dense_grid_payoffs(form, quats).max())
         assert report.payoff.alice == pytest.approx(3.7473, abs=1e-4)
         assert best_grid == pytest.approx(3.6930, abs=1e-4)
         assert report.gaps[0] == 0.0

@@ -396,6 +396,17 @@ class TestConfigAndTable:
         )
         assert got.as_tuple() == pytest.approx((1, 1, 1), abs=1e-12)
 
+    def test_expected_ignores_memory_layout(self):
+        # a Fortran-ordered batch holds strided rows, which would take another
+        # dot path and differ from the C-ordered rows in the last bit
+        rng = np.random.default_rng(1000)
+        players = [rng.uniform((0, -math.pi, -math.pi), (math.pi, math.pi, math.pi), (1000, 3))
+                   for _ in range(3)]
+        probs = outcome_probabilities(*rng.uniform(0, HALF_PI, (2, 1000)), *players)
+        c_order = DEFAULT_PAYOFF_TABLE.expected(np.ascontiguousarray(probs))
+        f_order = DEFAULT_PAYOFF_TABLE.expected(np.asfortranarray(probs))
+        assert c_order.tobytes() == f_order.tobytes()
+
 
 def test_tolerances_are_named_once():
     # every tolerance in the package is ATOL or PAYOFF_TOL, and payoffs are
