@@ -209,14 +209,10 @@ _ALPHA_PART, _BETA_PART = [0, 3], [1, 2]
 
 
 def _grid_max(form: np.ndarray, factors: tuple[np.ndarray, ...]) -> float:
-    """Largest ``q^T Q q`` over the grid of ``_grid_factors``.
-
-    Split by the two parts of ``q``, the form is ``c^2 A(alpha) + s^2 B(beta)
-    + 2cs C(alpha, beta)``, with ``A = u^T Q_aa u`` and ``B = v^T Q_bb v`` on
-    the ``_ALPHA_PART`` and ``_BETA_PART`` blocks of ``Q`` and ``C = u^T Q_ab
-    v`` on the block between them: two axis-length quadratic forms and one
-    alpha-by-beta matrix, summed over the whole grid in one array.
-    """
+    """Largest ``q^T Q q = c^2 A + s^2 B + 2cs C`` over the grid of
+    ``_grid_factors``: ``A = u^T Q_aa u`` and ``B = v^T Q_bb v`` on the
+    ``_ALPHA_PART`` and ``_BETA_PART`` blocks of ``Q``, ``C = u^T Q_ab v`` on
+    the block between them."""
     c, s, u, v = factors
     a = ((u @ form[np.ix_(_ALPHA_PART, _ALPHA_PART)]) * u).sum(axis=1)
     b = ((v @ form[np.ix_(_BETA_PART, _BETA_PART)]) * v).sum(axis=1)
@@ -262,7 +258,7 @@ def verify_nash(
 
     The played payoffs come from the oracle; each player's best grid payoff
     comes from their payoff form, scanned over the grid's axes
-    (``_grid_max``), which are built once for all three.  That makes four
+    (``_grid_max``); the axes are built once for all three.  That makes four
     kernel calls of at most 10 rows, whatever the grid size.
     """
     payoff = expected_payoffs(config, *profile.as_tuple())
