@@ -499,17 +499,6 @@ class TestVerify:
         assert record["max_abs_sum_error"] == pytest.approx(1e-9, rel=1e-6)
         assert "basis_completeness" in hard
 
-    def test_kernel_calls_per_bundle(self, monkeypatch):
-        # The kernel evaluates moves once per call, so counting moves counts
-        # kernel calls.
-        spy = mock.Mock(wraps=qpd3.game.moves)
-        monkeypatch.setattr(qpd3.game, "moves", spy)
-        build_verify_bundle(DEFAULT_SEED)
-        # 1 classical-limit batch, 1 basis batch, 1 Born-conservation batch,
-        # 4 protocol tables, 6 certificates x 4 calls, and 2 x 1000
-        # closed-form samples checked one oracle call each.
-        assert spy.call_count == 2031
-
     def test_negative_seed_names_the_option(self, tmp_path, capsys):
         assert_usage_error(["verify", "--seed", "-1"], tmp_path, capsys, "--seed", "-1")
 

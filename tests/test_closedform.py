@@ -14,6 +14,7 @@ from qpd3 import (
     sample_classical_limit,
     sample_pure_moves,
 )
+from qpd3.closedform import _delta_summary, _oracle_deltas
 from qpd3.game import DEFAULT_PAYOFF_TABLE
 
 from conftest import classical_payoff, random_params
@@ -168,15 +169,26 @@ class TestCompareToOracle:
             profile = [StrategyParams(*p) for p in s.params]
             assert s.closed_form == closed_form_payoffs(config, *profile).as_tuple()
 
-    def test_record_shape(self):
+    def test_delta_summary_is_max_and_left_to_right_mean(self):
+        # numpy's pairwise sum keeps the ones this row-order sum rounds away
+        delta_abs = np.array([[1e16, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+        left_to_right = sum(delta_abs.ravel().tolist()) / 9
+        assert left_to_right != np.mean(delta_abs)
+        assert _delta_summary(delta_abs) == (1e16, left_to_right)
         report = compare_to_oracle(sample_any, 3, seed=5)
-        record = report.to_record()
-        assert record == {
-            "seed": 5,
-            "sample_count": 3,
-            "max_abs_delta": report.max_abs_delta,
-            "mean_abs_delta": report.mean_abs_delta,
-        }
+        delta_abs = np.array([s.delta_abs for s in report.samples])
+        assert (report.max_abs_delta, report.mean_abs_delta) == _delta_summary(delta_abs)
+
+    @pytest.mark.parametrize("seed", [1729, 1730, 7])
+    @pytest.mark.parametrize("sampler", [sample_any, sample_classical_limit, sample_pure_moves])
+    def test_one_kernel_call_equals_the_per_sample_oracle(self, sampler, seed):
+        # the bundle's batched route and the per-sample route agree bit for bit
+        report = compare_to_oracle(sampler, 1000, seed=seed)
+        oracle, closed, delta_abs = _oracle_deltas(sampler, 1000, seed)
+        assert np.array_equal(oracle, [s.oracle for s in report.samples])
+        assert np.array_equal(closed, [s.closed_form for s in report.samples])
+        assert np.array_equal(delta_abs, [s.delta_abs for s in report.samples])
+        assert _delta_summary(delta_abs) == (report.max_abs_delta, report.mean_abs_delta)
 
 
 #: Scalar draw bounds in stream order per move: theta, alpha, beta.

@@ -6,11 +6,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 import qpd3
 import qpd3.cli
 import qpd3.equilibrium
 import qpd3.verify
-from qpd3.closedform import ComparisonReport, ComparisonSample
 from qpd3.game import PAYOFF_TOL, REGIMES, PayoffTriple
 from qpd3.verify import build_verify_bundle
 
@@ -30,26 +31,59 @@ def test_cli_runs_the_library_bundle():
     assert qpd3.cli.build_verify_bundle is qpd3.verify.build_verify_bundle
 
 
+def _bundle_with_delta(monkeypatch, delta_abs: float):
+    """The seed-1729 bundle with every closed-form comparison stubbed to one
+    sample whose Alice delta is ``delta_abs``."""
+
+    def stub(sampler, n, seed):
+        oracle = np.zeros((1, 3))
+        closed = np.array([[delta_abs, 0.0, 0.0]])
+        return oracle, closed, np.abs(oracle - closed)
+
+    monkeypatch.setattr(qpd3.verify, "_oracle_deltas", stub)
+    return build_verify_bundle(1729)
+
+
 def test_closed_form_classical_passes_at_the_tolerance(monkeypatch):
     # "equal within PAYOFF_TOL" takes in a delta of exactly PAYOFF_TOL
-    sample = ComparisonSample(
-        gamma=0.0,
-        delta=0.0,
-        params=((0.0, 0.0, 0.0),) * 3,
-        oracle=(0.0, 0.0, 0.0),
-        closed_form=(PAYOFF_TOL, 0.0, 0.0),
-        delta_abs=(PAYOFF_TOL, 0.0, 0.0),
-    )
-
-    def stub(sampler, n, seed=0):
-        return ComparisonReport(seed=seed, samples=(sample,))
-
-    monkeypatch.setattr(qpd3.verify, "compare_to_oracle", stub)
-    doc, hard = build_verify_bundle(1729)
+    doc, hard = _bundle_with_delta(monkeypatch, PAYOFF_TOL)
     assert doc["results"]["closed_form_classical"] == {
         "check": "closed_form_classical", "pass": True, "max_abs_delta": PAYOFF_TOL,
     }
     assert hard == []
+
+
+def test_closed_form_classical_fails_past_the_tolerance(monkeypatch):
+    beyond = float(np.nextafter(PAYOFF_TOL, 1))
+    doc, hard = _bundle_with_delta(monkeypatch, beyond)
+    assert doc["results"]["closed_form_classical"] == {
+        "check": "closed_form_classical", "pass": False, "max_abs_delta": beyond,
+    }
+    assert hard == ["closed_form_classical"]
+
+
+def test_bundle_kernel_budget(monkeypatch):
+    # each check makes one batched kernel call; a per-sample loop would
+    # multiply the calls, not the rows
+    kernel = qpd3.game.outcome_probabilities
+    calls, rows = 0, 0
+
+    def counted(*args):
+        nonlocal calls, rows
+        probs = kernel(*args)
+        calls, rows = calls + 1, rows + len(probs)
+        return probs
+
+    bound = [m for name, m in sys.modules.items()
+             if name.split(".")[0] == "qpd3" and getattr(m, "outcome_probabilities", None) is kernel]
+    assert {m.__name__ for m in bound} >= {"qpd3.game", "qpd3.closedform", "qpd3.verify"}
+    for module in bound:
+        monkeypatch.setattr(module, "outcome_probabilities", counted)
+    build_verify_bundle(1729)
+    # 1 classical-limit batch, 1 basis batch, 1 Born-conservation batch,
+    # 4 protocol tables, 6 certificates x 4 calls, and 1 batch per
+    # closed-form sampler
+    assert (calls, rows) == (33, 4354)
 
 
 #: ``what`` of the discrepancy records the four-regime scan owns.
