@@ -175,9 +175,6 @@ class TestCompareToOracle:
         left_to_right = sum(delta_abs.ravel().tolist()) / 9
         assert left_to_right != np.mean(delta_abs)
         assert _delta_summary(delta_abs) == (1e16, left_to_right)
-        report = compare_to_oracle(sample_any, 3, seed=5)
-        delta_abs = np.array([s.delta_abs for s in report.samples])
-        assert (report.max_abs_delta, report.mean_abs_delta) == _delta_summary(delta_abs)
 
     @pytest.mark.parametrize("seed", [1729, 1730, 7])
     @pytest.mark.parametrize("sampler", [sample_any, sample_classical_limit, sample_pure_moves])
