@@ -17,17 +17,17 @@ def main():
     print("\nRepresentative profiles (theta = pi for PP, theta = 0 elsewhere):")
     header = f"{'regime':>7} {'payoff (A,B,C)':>24} {'max deviation gap':>19} {'grid-Nash':>10}"
     print(header)
-    for report in scan.reports:
+    for case, report in scan.reports.items():
         payoff = ", ".join(f"{x:.4f}" for x in report.payoff.as_tuple())
         print(
-            f"{report.case:>7} {'(' + payoff + ')':>24} "
+            f"{case:>7} {'(' + payoff + ')':>24} "
             f"{max(report.gaps):>19.4f} {str(report.is_nash):>10}"
         )
 
     print("\nSecondary stated profiles (theta = pi/2 in the mixed regimes):")
-    for report in scan.secondary:
+    for case, report in scan.secondary.items():
         payoff = ", ".join(f"{x:.4f}" for x in report.payoff.as_tuple())
-        print(f"{report.case:>7} ({payoff})  grid-Nash: {report.is_nash}")
+        print(f"{case:>7} ({payoff})  grid-Nash: {report.is_nash}")
 
     print("\n'Payoff below 3' verdicts at the stated mixed-regime profiles:")
     for check in scan.bounds:

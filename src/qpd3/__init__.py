@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .game import (
     DEFAULT_PAYOFF_TABLE,
     OUTCOMES,
-    PLAYERS,
     REGIMES,
     GameConfig,
     PayoffTable,
@@ -62,7 +61,7 @@ from .comms import (
 __all__ = [
     "__version__",
     # game
-    "OUTCOMES", "PLAYERS", "REGIMES", "StrategyParams", "PayoffTriple", "PayoffTable",
+    "OUTCOMES", "REGIMES", "StrategyParams", "PayoffTriple", "PayoffTable",
     "DEFAULT_PAYOFF_TABLE", "GameConfig", "moves",
     "outcome_probabilities", "expected_payoffs",
     # closedform

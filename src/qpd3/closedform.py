@@ -205,15 +205,6 @@ class ComparisonSample:
     delta_abs: tuple[float, float, float]
 
 
-def _delta_summary(delta_abs: np.ndarray) -> tuple[float, float]:
-    """Max and mean of an ``(n, 3)`` array of ``|oracle - closed form|``.
-
-    The mean is a left-to-right Python sum in row order: ``np.mean`` sums
-    pairwise and would change the last bits of the recorded value.
-    """
-    return float(delta_abs.max()), sum(delta_abs.ravel().tolist()) / delta_abs.size
-
-
 @dataclass(frozen=True)
 class ComparisonReport:
     """Oracle-vs-closed-form deltas over a seeded sample of profiles."""
@@ -227,11 +218,11 @@ class ComparisonReport:
 
     @property
     def max_abs_delta(self) -> float:
-        return _delta_summary(np.array([s.delta_abs for s in self.samples]))[0]
+        return float(np.max([s.delta_abs for s in self.samples]))
 
     @property
     def mean_abs_delta(self) -> float:
-        return _delta_summary(np.array([s.delta_abs for s in self.samples]))[1]
+        return float(np.mean([s.delta_abs for s in self.samples]))
 
 
 # Per sample: gamma, delta, then (theta, alpha, beta) for each player.

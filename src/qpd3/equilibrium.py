@@ -26,7 +26,7 @@ measurement basis are each product (P) or maximally entangled (E).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -170,14 +170,13 @@ class EquilibriumReport:
     payoff: PayoffTriple
     gaps: tuple[float, float, float]
     grid: GridSpec
-    case: str | None = None
 
     @property
     def is_nash(self) -> bool:
         return max(self.gaps) <= PAYOFF_TOL
 
     def to_record(self) -> dict:
-        record = {
+        return {
             "profile": self.profile.to_record(),
             "payoff": list(self.payoff.as_tuple()),
             "best_response_gaps": list(self.gaps),
@@ -185,9 +184,6 @@ class EquilibriumReport:
             "grid": self.grid.to_record(),
             "is_nash": self.is_nash,
         }
-        if self.case is not None:
-            record["case"] = self.case
-        return record
 
 
 def _grid_factors(grid: GridSpec) -> tuple[np.ndarray, ...]:
@@ -282,32 +278,28 @@ def _named_profile(theta: float) -> Profile:
 class FourCaseScan:
     """Results of evaluating the four entanglement regimes.
 
-    ``reports`` holds one certificate per regime at its representative
-    profile (theta = pi for PP, theta = 0 elsewhere; the theta = 0 choices
-    give symmetric payoff triples, which is what makes a single per-regime
-    scalar well defined).  ``secondary`` holds the additional stated
-    theta = pi/2 profiles for the mixed regimes.  ``bounds`` holds one
-    "payoff below 3" verdict record per stated mixed-regime profile (``case``,
-    ``theta``, ``payoff``, ``bound``, ``holds``, ``max_component``) and
-    ``ordering`` the measured verdicts for the claimed chain
+    ``reports`` maps each regime label, in ``REGIMES`` order, to the
+    certificate at its representative profile (theta = pi for PP, theta = 0
+    elsewhere; the theta = 0 choices give symmetric payoff triples, which is
+    what makes a single per-regime scalar well defined).  ``secondary`` maps
+    PE and EP to the additional stated theta = pi/2 profiles.  ``bounds``
+    holds one "payoff below 3" verdict record per stated mixed-regime profile
+    (``case``, ``theta``, ``payoff``, ``bound``, ``holds``, ``max_component``)
+    and ``ordering`` the measured verdicts for the claimed chain
     PP < PE = EP < EE.
     """
 
-    reports: tuple[EquilibriumReport, ...]
-    secondary: tuple[EquilibriumReport, ...]
+    reports: dict[str, EquilibriumReport]
+    secondary: dict[str, EquilibriumReport]
     bounds: tuple[dict, ...]
     ordering: dict
 
-    def report_for(self, case: str) -> EquilibriumReport:
-        for r in self.reports:
-            if r.case == case:
-                return r
-        raise KeyError(case)
-
     def to_record(self) -> dict:
         return {
-            "cases": [r.to_record() for r in self.reports],
-            "secondary_profiles": [r.to_record() for r in self.secondary],
+            "cases": [{"case": case, **r.to_record()} for case, r in self.reports.items()],
+            "secondary_profiles": [
+                {"case": case, **r.to_record()} for case, r in self.secondary.items()
+            ],
             "bound_checks": list(self.bounds),
             "ordering": self.ordering,
         }
@@ -338,47 +330,45 @@ def four_case_scan(
     value exists there).  Every claim is measured against the oracle and
     reported; nothing is assumed.
     """
-    reports = []
-    bounds = []
-    secondary = []
-
-    for case, angles in REGIMES.items():
-        theta = math.pi if case == "PP" else 0.0
-        report = verify_nash(_named_profile(theta), GameConfig(*angles, table), grid)
-        reports.append(replace(report, case=case))
-
-    for case in ("PE", "EP"):
-        config = GameConfig(*REGIMES[case], table)
-        report = verify_nash(_named_profile(math.pi / 2), config, grid)
-        secondary.append(replace(report, case=case))
+    mixed = ("PE", "EP")
+    reports = {
+        case: verify_nash(
+            _named_profile(math.pi if case == "PP" else 0.0), GameConfig(*angles, table), grid
+        )
+        for case, angles in REGIMES.items()
+    }
+    secondary = {
+        case: verify_nash(_named_profile(math.pi / 2), GameConfig(*REGIMES[case], table), grid)
+        for case in mixed
+    }
 
     # "Payoff stays below 3" is claimed at both stated profiles of each mixed
     # regime; record a verdict per profile rather than trusting the claim.
     bound = 3.0
-    for report in list(reports[1:3]) + secondary:
-        payoff = list(report.payoff.as_tuple())
-        bounds.append(
-            {
-                "case": report.case,
-                "theta": report.profile.pa.theta,
-                "payoff": payoff,
-                "bound": bound,
-                "holds": max(payoff) < bound - PAYOFF_TOL,
-                "max_component": max(payoff),
-            }
-        )
+    bounds = []
+    for stated in (reports, secondary):
+        for case in mixed:
+            report = stated[case]
+            payoff = list(report.payoff.as_tuple())
+            bounds.append(
+                {
+                    "case": case,
+                    "theta": report.profile.pa.theta,
+                    "payoff": payoff,
+                    "bound": bound,
+                    "holds": max(payoff) < bound - PAYOFF_TOL,
+                    "max_component": max(payoff),
+                }
+            )
 
-    by_case = {r.case: r for r in reports}
-    pp_value = by_case["PP"].payoff.alice
-    pe_value = by_case["PE"].payoff.alice
-    ep_value = by_case["EP"].payoff.alice
-    ee_value = by_case["EE"].payoff.alice
+    values = {case: r.payoff.alice for case, r in reports.items()}
+    pp_value, pe_value, ep_value, ee_value = (values[c] for c in ("PP", "PE", "EP", "EE"))
     pe_ep_gap = max(
         abs(a - b)
-        for a, b in zip(by_case["PE"].payoff.as_tuple(), by_case["EP"].payoff.as_tuple())
+        for a, b in zip(reports["PE"].payoff.as_tuple(), reports["EP"].payoff.as_tuple())
     )
     ordering = {
-        "values": {"PP": pp_value, "PE": pe_value, "EP": ep_value, "EE": ee_value},
+        "values": values,
         "pp_lt_pe": pp_value < pe_value - PAYOFF_TOL,
         "pe_eq_ep_gap": pe_ep_gap,
         "pe_eq_ep": pe_ep_gap <= PAYOFF_TOL,
@@ -390,8 +380,8 @@ def four_case_scan(
     )
 
     return FourCaseScan(
-        reports=tuple(reports),
-        secondary=tuple(secondary),
+        reports=reports,
+        secondary=secondary,
         bounds=tuple(bounds),
         ordering=ordering,
     )

@@ -172,12 +172,13 @@ class PayoffTable:
         return self._columns[player]
 
     def expected(self, probs: np.ndarray) -> np.ndarray:
-        """Expected payoffs ``(N, 3)`` for ``(N, 8)`` outcome probabilities: one dot
-        per row and player, so a batch row equals the single-profile payoff bit for bit.
-        Rows are read C-contiguous: a strided row would take another dot path
-        and could differ in the last bit."""
-        rows = np.ascontiguousarray(probs)
-        return np.array([[row @ column for column in self._columns] for row in rows])
+        """Expected payoffs ``(N, 3)`` for ``(N, 8)`` outcome probabilities.
+
+        One unoptimized einsum over C-contiguous rows sums each row's 8
+        products the same way whatever ``N`` or the input's layout, so a batch
+        row equals the single-profile payoff bit for bit.  A BLAS product
+        (``@``) blocks by batch size and does not."""
+        return np.einsum("nj,kj->nk", np.ascontiguousarray(probs), self._columns)
 
     def as_mapping(self) -> dict[str, list[float]]:
         return {o: list(row) for o, row in zip(OUTCOMES, self.entries)}

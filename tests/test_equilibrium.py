@@ -264,14 +264,14 @@ class TestExactCrossCheck:
             ("PE", HALF_PI): (0.0, 1.75, 0.0),
             ("EP", HALF_PI): (0.25, 0.25, 0.25),
         }
-        reports = scan.reports + scan.secondary
-        assert {(r.case, r.profile.pa.theta) for r in reports} == set(expected)
-        for report in reports:
-            config = GameConfig(*qpd3.REGIMES[report.case])
+        reports = [*scan.reports.items(), *scan.secondary.items()]
+        assert {(case, r.profile.pa.theta) for case, r in reports} == set(expected)
+        for case, report in reports:
+            config = GameConfig(*qpd3.REGIMES[case])
             exact = exact_gaps(report.profile, config)
             assert exact == pytest.approx(report.gaps, rel=0.0, abs=1e-12)
             assert exact == pytest.approx(
-                expected[report.case, report.profile.pa.theta], rel=0.0, abs=1e-12
+                expected[case, report.profile.pa.theta], rel=0.0, abs=1e-12
             )
 
 
@@ -394,26 +394,28 @@ def scan():
 
 class TestFourCaseScan:
     def test_case_labels_and_order(self, scan):
-        assert [r.case for r in scan.reports] == ["PP", "PE", "EP", "EE"]
+        assert list(scan.reports) == ["PP", "PE", "EP", "EE"]
+        assert list(scan.secondary) == ["PE", "EP"]
+        assert [r["case"] for r in scan.to_record()["cases"]] == ["PP", "PE", "EP", "EE"]
 
     def test_product_regime_value_and_nash(self, scan):
-        report = scan.report_for("PP")
+        report = scan.reports["PP"]
         assert report.payoff.as_tuple() == pytest.approx((1, 1, 1), abs=1e-9)
         assert report.is_nash
 
     def test_max_entanglement_value(self, scan):
-        report = scan.report_for("EE")
+        report = scan.reports["EE"]
         assert report.payoff.as_tuple() == pytest.approx((3, 3, 3), abs=1e-9)
 
     def test_mixed_regime_representatives(self, scan):
         # both mixed regimes give the symmetric triple (2,2,2) at theta = 0
         for case in ("PE", "EP"):
-            report = scan.report_for(case)
+            report = scan.reports[case]
             assert report.payoff.as_tuple() == pytest.approx((2, 2, 2), abs=1e-9)
 
     def test_secondary_profiles_frozen_values(self, scan):
         # hand-derived: the theta = pi/2 stated profiles are asymmetric
-        values = {r.case: r.payoff.as_tuple() for r in scan.secondary}
+        values = {case: r.payoff.as_tuple() for case, r in scan.secondary.items()}
         assert values["PE"] == pytest.approx((3.5, 1.75, 3.5), abs=1e-9)
         assert values["EP"] == pytest.approx((2.5, 2.5, 2.5), abs=1e-9)
 

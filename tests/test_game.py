@@ -396,16 +396,21 @@ class TestConfigAndTable:
         )
         assert got.as_tuple() == pytest.approx((1, 1, 1), abs=1e-12)
 
-    def test_expected_ignores_memory_layout(self):
-        # a Fortran-ordered batch holds strided rows, which would take another
-        # dot path and differ from the C-ordered rows in the last bit
-        rng = np.random.default_rng(1000)
-        players = [rng.uniform((0, -math.pi, -math.pi), (math.pi, math.pi, math.pi), (1000, 3))
-                   for _ in range(3)]
-        probs = outcome_probabilities(*rng.uniform(0, HALF_PI, (2, 1000)), *players)
-        c_order = DEFAULT_PAYOFF_TABLE.expected(np.ascontiguousarray(probs))
-        f_order = DEFAULT_PAYOFF_TABLE.expected(np.asfortranarray(probs))
-        assert c_order.tobytes() == f_order.tobytes()
+    @pytest.mark.parametrize(
+        "layout",
+        [np.ascontiguousarray, np.asfortranarray, lambda rows: rows[::3]],
+        ids=["C", "Fortran", "strided"],
+    )
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 1000, 8193])
+    def test_expected_ignores_memory_layout(self, n, layout):
+        # a BLAS product blocks by batch size and would give a row of a batch
+        # other last bits than the same row alone; the contraction must not
+        rng = np.random.default_rng(n)
+        players = rng.uniform((0, -math.pi, -math.pi), (math.pi, math.pi, math.pi), (3, 3 * n, 3))
+        probs = outcome_probabilities(*rng.uniform(0, HALF_PI, (2, 3 * n)), *players)
+        batch = layout(probs)[:n]
+        rows = [DEFAULT_PAYOFF_TABLE.expected(batch[i : i + 1]) for i in range(n)]
+        assert DEFAULT_PAYOFF_TABLE.expected(batch).tobytes() == np.concatenate(rows).tobytes()
 
 
 def test_tolerances_are_named_once():
@@ -424,7 +429,7 @@ def test_tolerances_are_named_once():
 PUBLIC_NAMES = """
     CODEWORDS COLUMNS Codeword ComparisonReport DEFAULT_PAYOFF_TABLE
     DecodeResult EquilibriumReport FourCaseScan GameConfig GridSpec InfoRelationReport
-    OUTCOMES ObservationModel PLAYERS PayoffTable PayoffTriple Profile ProtocolTable
+    OUTCOMES ObservationModel PayoffTable PayoffTriple Profile ProtocolTable
     REGIMES REGIME_FIXTURES StrategyParams __version__ closed_form_payoffs
     common_move compare_to_oracle decode expected_payoffs fixture_regime_tables
     fixture_table four_case_scan info_relation_report information_bits
@@ -436,20 +441,21 @@ PUBLIC_NAMES = """
 
 def test_public_surface_is_pinned():
     assert sorted(qpd3.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 41
+    assert len(PUBLIC_NAMES) == 40
     for name in PUBLIC_NAMES:
         getattr(qpd3, name)
 
 
 def test_every_public_name_has_a_caller():
-    # API that no caller uses is deleted: each exported name appears in the
-    # package beyond its own definition, or in a demo or the README (tests
-    # do not count)
-    package = " ".join(
-        path.read_text(encoding="utf-8")
+    # API that no caller uses is deleted: each exported name appears in a demo
+    # or the README, or else in the package beyond its own definition, and a
+    # name that is not a class must appear outside the module that defines
+    # it (tests and the re-export in __init__.py do not count)
+    sources = {
+        path.name: path.read_text(encoding="utf-8")
         for path in sorted(Path(qpd3.__file__).parent.glob("*.py"))
-        if path.name != "__init__.py"
-    )
+    }
+    package = " ".join(text for file, text in sources.items() if file != "__init__.py")
     repo = Path(__file__).resolve().parent.parent
     shown = " ".join(
         path.read_text(encoding="utf-8")
@@ -459,9 +465,15 @@ def test_every_public_name_has_a_caller():
     def count(name, text):
         return len(re.findall(rf"(?<!\w){re.escape(name)}(?!\w)", text))
 
-    unused = [
-        name for name in qpd3.__all__ if count(name, package) < 2 and count(name, shown) < 1
-    ]
+    def called(name):
+        if isinstance(getattr(qpd3, name), type):
+            return count(name, package) >= 2
+        pattern = rf"^(?:def {re.escape(name)}\b|{re.escape(name)}\s*[:=])"
+        home = next(f for f, text in sources.items() if re.search(pattern, text, re.M))
+        elsewhere = (text for f, text in sources.items() if f not in {home, "__init__.py"})
+        return any(count(name, text) for text in elsewhere)
+
+    unused = [name for name in qpd3.__all__ if not called(name) and count(name, shown) < 1]
     assert unused == []
 
 
