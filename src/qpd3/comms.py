@@ -163,31 +163,47 @@ class DecodeResult:
         }
 
 
+def _oracle_tables(angles, table: PayoffTable) -> list[ProtocolTable]:
+    """Oracle-evaluated protocol tables, one per ``(gamma, delta)`` of ``angles``.
+
+    Every table's 16 (codeword, column) profiles go through the kernel in
+    one batch, and each entry equals the single-profile oracle bit for bit.
+    """
+    angles = list(angles)
+    # (16, player, (theta, alpha, beta)), codeword-major
+    profiles = np.empty((len(CODEWORDS), len(COLUMNS), 3, 3))
+    profiles[:, :, 0] = np.array([cw.params.as_tuple() for cw in CODEWORDS])[:, None]
+    profiles[:, :, 1:, 0] = COLUMNS
+    profiles[:, :, 1:, 1:] = COMMON_ALPHA, COMMON_BETA
+    profiles = profiles.reshape(-1, 3, 3)
+    gammas, deltas = np.repeat(np.array(angles, dtype=float), len(profiles), axis=0).T
+    probs = outcome_probabilities(
+        gammas, deltas, *np.tile(profiles, (len(angles), 1, 1)).transpose(1, 0, 2)
+    )
+    payoffs = table.expected(probs).reshape(len(angles), len(CODEWORDS), len(COLUMNS), 3)
+    return [
+        ProtocolTable(
+            label=f"oracle(gamma={gamma:.6g}, delta={delta:.6g})",
+            provenance="oracle",
+            gamma=gamma,
+            delta=delta,
+            payoffs=entries,
+        )
+        for (gamma, delta), entries in zip(angles, payoffs)
+    ]
+
+
 def protocol_table(
     gamma: float, delta: float, table: PayoffTable = DEFAULT_PAYOFF_TABLE
 ) -> ProtocolTable:
     """Oracle-evaluated protocol table for the given entanglement angles.
 
-    The 16 (codeword, column) profiles go through the kernel as one batch,
-    and each entry equals the single-profile oracle bit for bit.
+    The 16 (codeword, column) profiles go through the kernel as one batch
+    (``_oracle_tables`` of one angle pair), and each entry equals the
+    single-profile oracle bit for bit.
     """
-    config = GameConfig(gamma, delta, table)
-    # (16, player, (theta, alpha, beta)), codeword-major
-    profiles = np.array(
-        [
-            [p.as_tuple() for p in (cw.params, common_move(tb), common_move(tc))]
-            for cw in CODEWORDS
-            for tb, tc in COLUMNS
-        ]
-    )
-    probs = outcome_probabilities(config.gamma, config.delta, *profiles.transpose(1, 0, 2))
-    return ProtocolTable(
-        label=f"oracle(gamma={gamma:.6g}, delta={delta:.6g})",
-        provenance="oracle",
-        gamma=gamma,
-        delta=delta,
-        payoffs=table.expected(probs).reshape(4, 4, 3),
-    )
+    GameConfig(gamma, delta, table)  # the oracle's own checks of the angles
+    return _oracle_tables([(gamma, delta)], table)[0]
 
 
 def _frac_rows(rows):
@@ -418,8 +434,8 @@ def info_relation_report(
 
 
 def oracle_regime_tables(table: PayoffTable = DEFAULT_PAYOFF_TABLE) -> dict[str, ProtocolTable]:
-    """Oracle protocol tables for the four entanglement regimes."""
-    return {case: protocol_table(g, d, table) for case, (g, d) in REGIMES.items()}
+    """Oracle protocol tables for the four entanglement regimes, from one kernel call."""
+    return dict(zip(REGIMES, _oracle_tables(REGIMES.values(), table)))
 
 
 def fixture_regime_tables() -> dict[str, ProtocolTable]:

@@ -12,7 +12,9 @@ with ``cos(theta/2) e^{i alpha} = q0 + i q3`` and
 ``sin(theta/2) e^{i beta} = q1 - i q2``.  The final state is linear in the
 deviating player's ``q``, so with the other two moves fixed each outcome
 probability, and hence the player's payoff, is a real quadratic form
-``q^T Q q``.  One kernel call of 10 moves fixes ``Q`` by polarization.  A
+``q^T Q q``.  Ten moves fix ``Q`` by polarization, and one kernel call
+fixes a player's ``Q`` at a whole batch of profiles, each at its own
+(gamma, delta); a certificate of P profiles costs four kernel calls.  A
 grid move is ``q = (c cos alpha, s cos beta, -s sin beta, c sin alpha)`` with
 ``c, s = cos, sin(theta/2)``, so the form splits along the grid's axes into
 ``c^2 A(alpha) + s^2 B(beta) + 2cs C(alpha, beta)``, and the grid is scanned
@@ -41,7 +43,6 @@ from .game import (
     PayoffTable,
     PayoffTriple,
     StrategyParams,
-    expected_payoffs,
     outcome_probabilities,
 )
 
@@ -218,31 +219,68 @@ def _grid_max(form: np.ndarray, factors: tuple[np.ndarray, ...]) -> float:
     return float(payoffs.max())
 
 
-def _payoff_form(
+def _payoff_forms(
     player: int,
-    others: tuple[StrategyParams, StrategyParams],
-    config: GameConfig,
+    others: np.ndarray,
+    gammas: np.ndarray,
+    deltas: np.ndarray,
+    table: PayoffTable,
 ) -> np.ndarray:
-    """Player's payoff as a symmetric 4x4 form ``Q``, others fixed: ``payoff = q^T Q q``.
+    """Player's payoff forms ``(P, 4, 4)``, one per row of ``others``: the
+    other two players' moves ``(P, 2, 3)`` at angles ``gammas[p], deltas[p]``.
+    Profile p's payoff is ``q^T Q[p] q``; one kernel call of ``10 P`` rows
+    fixes them all.
 
     Raises:
-        ValueError: if the outcome forms do not sum to the identity within
-            ``ATOL``, which bounds the probability-sum error at every unit
-            quaternion by the tolerance the kernel holds each row to.
+        ValueError: if a profile's outcome forms do not sum to the identity
+            within ``ATOL``, which bounds the probability-sum error at every
+            unit quaternion by the tolerance the kernel holds each row to.
     """
-    players = [p.as_tuple() for p in others]
-    players.insert(player, _POLAR_MOVES)
-    probs = outcome_probabilities(config.gamma, config.delta, *players)
-    # forms[m, n, j]: outcome j's form, by polarization of its probability
-    forms = np.empty((4, 4, probs.shape[1]))
-    diag = probs[:4]
-    forms[range(4), range(4)] = diag
+    count = len(others)
+    players = list(np.repeat(others, len(_POLAR_MOVES), axis=0).transpose(1, 0, 2))
+    players.insert(player, np.tile(_POLAR_MOVES, (count, 1)))
+    probs = outcome_probabilities(
+        np.repeat(gammas, len(_POLAR_MOVES)), np.repeat(deltas, len(_POLAR_MOVES)), *players
+    ).reshape(count, len(_POLAR_MOVES), -1)
+    # forms[p, m, n, j]: outcome j's form for profile p, by polarization of its probability
+    forms = np.empty((count, 4, 4, probs.shape[2]))
+    diag = probs[:, :4]
+    forms[:, range(4), range(4)] = diag
     m, n = np.triu_indices(4, 1)
-    forms[m, n] = forms[n, m] = probs[4:] - (diag[m] + diag[n]) / 2
-    err = float(np.linalg.norm(forms.sum(axis=2) - np.eye(4), 2))
+    forms[:, m, n] = forms[:, n, m] = probs[:, 4:] - (diag[:, m] + diag[:, n]) / 2
+    err = float(np.linalg.norm(forms.sum(axis=3) - np.eye(4), 2, axis=(1, 2)).max())
     if err > ATOL:
         raise ValueError(f"outcome forms sum to the identity +- {err!r}, beyond {ATOL}")
-    return forms @ config.payoffs.column(player)
+    return forms @ table.column(player)
+
+
+def _certify(
+    profiles: list[Profile],
+    gammas,
+    deltas,
+    table: PayoffTable,
+    grid: GridSpec,
+) -> list[EquilibriumReport]:
+    """Certificates for ``profiles``, profile p at angles ``gammas[p], deltas[p]``.
+
+    One kernel call gives the played payoffs and one per player gives that
+    player's forms at every profile (``_payoff_forms``); each form is scanned
+    over the grid's axes (``_grid_max``), which are built once for all.  So
+    any number of profiles costs four kernel calls.
+    """
+    played = np.array([[p.as_tuple() for p in profile.as_tuple()] for profile in profiles])
+    gammas, deltas = np.asarray(gammas, dtype=float), np.asarray(deltas, dtype=float)
+    payoffs = table.expected(outcome_probabilities(gammas, deltas, *played.transpose(1, 0, 2)))
+    factors = _grid_factors(grid)
+    best = []
+    for k in range(3):
+        forms = _payoff_forms(k, np.delete(played, k, axis=1), gammas, deltas, table)
+        best.append([_grid_max(form, factors) for form in forms])
+    reports = []
+    for profile, payoff, tops in zip(profiles, payoffs.tolist(), zip(*best)):
+        gaps = tuple(max(top - x, 0.0) for top, x in zip(tops, payoff))
+        reports.append(EquilibriumReport(profile, PayoffTriple(*payoff), gaps, grid))
+    return reports
 
 
 def verify_nash(
@@ -252,19 +290,12 @@ def verify_nash(
 ) -> EquilibriumReport:
     """Measure every player's unilateral grid-deviation gain at ``profile``.
 
-    The played payoffs come from the oracle; each player's best grid payoff
-    comes from their payoff form, scanned over the grid's axes
-    (``_grid_max``); the axes are built once for all three.  That makes four
-    kernel calls of at most 10 rows, whatever the grid size.
+    The played payoffs come from the oracle's kernel; each player's best grid
+    payoff comes from their payoff form, scanned over the grid's axes.  This
+    is ``_certify`` of one profile: four kernel calls of at most 10 rows,
+    whatever the grid size.
     """
-    payoff = expected_payoffs(config, *profile.as_tuple())
-    factors = _grid_factors(grid)
-    gaps = []
-    for k in range(3):
-        others = tuple(p for i, p in enumerate(profile.as_tuple()) if i != k)
-        best = _grid_max(_payoff_form(k, others, config), factors)
-        gaps.append(max(best - payoff[k], 0.0))
-    return EquilibriumReport(profile, payoff, tuple(gaps), grid)
+    return _certify([profile], [config.gamma], [config.delta], config.payoffs, grid)[0]
 
 
 def _named_profile(theta: float) -> Profile:
@@ -327,20 +358,19 @@ def four_case_scan(
     theta = 0 for PE/EP/EE.  The mixed regimes' stated theta = pi/2 profiles
     are evaluated as well and contribute bound checks but not the ordering
     scalars (their payoff triples are asymmetric, so no single per-regime
-    value exists there).  Every claim is measured against the oracle and
+    value exists there).  All six are certified in one ``_certify`` batch,
+    four kernel calls in all, and each certificate equals ``verify_nash`` of
+    its profile bit for bit.  Every claim is measured against the oracle and
     reported; nothing is assumed.
     """
     mixed = ("PE", "EP")
-    reports = {
-        case: verify_nash(
-            _named_profile(math.pi if case == "PP" else 0.0), GameConfig(*angles, table), grid
-        )
-        for case, angles in REGIMES.items()
-    }
-    secondary = {
-        case: verify_nash(_named_profile(math.pi / 2), GameConfig(*REGIMES[case], table), grid)
-        for case in mixed
-    }
+    stated = [(case, math.pi if case == "PP" else 0.0) for case in REGIMES]
+    stated += [(case, math.pi / 2) for case in mixed]
+    gammas, deltas = zip(*(REGIMES[case] for case, _ in stated))
+    profiles = [_named_profile(theta) for _, theta in stated]
+    certificates = _certify(profiles, gammas, deltas, table, grid)
+    reports = dict(zip(REGIMES, certificates[: len(REGIMES)]))
+    secondary = dict(zip(mixed, certificates[len(REGIMES) :]))
 
     # "Payoff stays below 3" is claimed at both stated profiles of each mixed
     # regime; record a verdict per profile rather than trusting the claim.

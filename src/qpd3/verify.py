@@ -181,10 +181,11 @@ def build_verify_bundle(seed: int) -> tuple[dict, list]:
             discrepancies.append({"regime": case, **d})
 
     # Information metric under every observation model, both sources.
+    sources = (oracle_tables, fixture_regime_tables())
     info_reports = [
         info_relation_report(tables, ObservationModel(visible=visible))
         for visible in _VISIBLE
-        for tables in (oracle_tables, fixture_regime_tables())
+        for tables in sources
     ]
     results["information"] = [r.to_record() for r in info_reports]
     table2_full = information_bits(t2, ObservationModel(visible="full-triple"))

@@ -4,12 +4,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import qpd3.comms
 from qpd3 import (
     CODEWORDS,
     COLUMNS,
     REGIMES,
+    DEFAULT_PAYOFF_TABLE,
     GameConfig,
     ObservationModel,
+    PayoffTable,
     common_move,
     decode,
     expected_payoffs,
@@ -138,6 +141,30 @@ class TestProtocolTable:
                 for j, (tb, tc) in enumerate(COLUMNS):
                     want = expected_payoffs(config, cw.params, common_move(tb), common_move(tc))
                     assert table.entry(i, j).as_tuple() == want.as_tuple()
+
+    @pytest.mark.parametrize("scale", [(1.0, 0.0), (2.5, -7.0)], ids=["classic", "affine"])
+    def test_regime_tables_take_one_kernel_call(self, monkeypatch, scale):
+        # the four regime tables from one 64-row batch, each equal bit for
+        # bit to the table of its angles alone
+        a, b = scale
+        entries = DEFAULT_PAYOFF_TABLE.entries
+        table = PayoffTable(tuple(tuple(a * x + b for x in row) for row in entries))
+        alone = {case: protocol_table(*angles, table) for case, angles in REGIMES.items()}
+        rows = []
+        kernel = qpd3.comms.outcome_probabilities
+
+        def counting(*args):
+            probs = kernel(*args)
+            rows.append(len(probs))
+            return probs
+
+        monkeypatch.setattr(qpd3.comms, "outcome_probabilities", counting)
+        tables = oracle_regime_tables(table)
+        assert rows == [64]
+        assert list(tables) == list(REGIMES)
+        for case, got in tables.items():
+            assert got.payoffs.tobytes() == alone[case].payoffs.tobytes()
+            assert got.to_record() == alone[case].to_record()
 
     def test_payoffs_are_a_read_only_copy(self):
         source = np.ones((4, 4, 3))

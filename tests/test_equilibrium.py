@@ -11,6 +11,7 @@ from qpd3 import (
     REGIMES,
     GameConfig,
     GridSpec,
+    PayoffTable,
     PayoffTriple,
     Profile,
     StrategyParams,
@@ -24,7 +25,7 @@ from qpd3.equilibrium import (
     _grid_factors,
     _grid_max,
     _named_profile,
-    _payoff_form,
+    _payoff_forms,
 )
 from qpd3.game import ATOL, PAYOFF_TOL, moves
 
@@ -53,6 +54,16 @@ def dense_grid_payoffs(form: np.ndarray, quats: np.ndarray) -> np.ndarray:
     return np.einsum("gi,gi->g", quats @ form, quats)
 
 
+def payoff_forms(player: int, trials) -> np.ndarray:
+    """``_payoff_forms`` of ``player`` over ``(others, config)`` trials that
+    share one payoff table: each trial's form, from one kernel call."""
+    partners = np.array([[p.as_tuple() for p in others] for others, _ in trials])
+    configs = [config for _, config in trials]
+    return _payoff_forms(
+        player, partners, [c.gamma for c in configs], [c.delta for c in configs], configs[0].payoffs
+    )
+
+
 def exact_gaps(profile: Profile, config: GameConfig) -> list[float]:
     """Best gain over all of SU(2): the top eigenvalue of each player's form."""
     played = profile.as_tuple()
@@ -60,9 +71,24 @@ def exact_gaps(profile: Profile, config: GameConfig) -> list[float]:
     gaps = []
     for k in range(3):
         others = tuple(p for i, p in enumerate(played) if i != k)
-        form = _payoff_form(k, others, config)
+        (form,) = payoff_forms(k, [(others, config)])
         gaps.append(max(float(np.linalg.eigvalsh(form).max()) - payoff[k], 0.0))
     return gaps
+
+
+def kernel_rows(monkeypatch) -> list[int]:
+    """The row count of every kernel call made after this, in call order."""
+    rows = []
+    kernel = qpd3.game.outcome_probabilities
+
+    def counting(*args):
+        probs = kernel(*args)
+        rows.append(len(probs))
+        return probs
+
+    monkeypatch.setattr(qpd3.game, "outcome_probabilities", counting)
+    monkeypatch.setattr(qpd3.equilibrium, "outcome_probabilities", counting)
+    return rows
 
 
 def defect() -> StrategyParams:
@@ -164,10 +190,9 @@ class TestBatchedKernel:
         for gamma, delta in points:
             config = GameConfig(gamma, delta)
             random = [Profile(*(random_params(rng) for _ in range(3))) for _ in range(2)]
-            for profile in stated + random:
-                played = profile.as_tuple()
-                for k in range(3):
-                    form = _payoff_form(k, played[:k] + played[k + 1:], config)
+            played = [profile.as_tuple() for profile in stated + random]
+            for k in range(3):
+                for form in payoff_forms(k, [(p[:k] + p[k + 1:], config) for p in played]):
                     dense = float(dense_grid_payoffs(form, quats).max())
                     assert abs(_grid_max(form, factors) - dense) <= 1e-12
 
@@ -180,7 +205,7 @@ class TestBatchedKernel:
             candidates = np.array([random_params(rng).as_tuple() for _ in range(100)])
             others = (random_params(rng), random_params(rng))
             quats = quaternions_of(candidates)
-            form = _payoff_form(player, others, config)
+            (form,) = payoff_forms(player, [(others, config)])
             for row, got in zip(candidates, dense_grid_payoffs(form, quats)):
                 profile = [p.as_tuple() for p in others]
                 profile.insert(player, tuple(row))
@@ -192,21 +217,14 @@ class TestBatchedKernel:
         rows = [tuple(p) for p in pts]
         assert rows == sorted(set(rows))
 
-    def test_refined_grid_takes_four_small_kernel_calls(self, monkeypatch):
-        rows = []
-        kernel = qpd3.game.outcome_probabilities
-
-        def counting(*args):
-            probs = kernel(*args)
-            rows.append(len(probs))
-            return probs
-
-        monkeypatch.setattr(qpd3.game, "outcome_probabilities", counting)
-        monkeypatch.setattr(qpd3.equilibrium, "outcome_probabilities", counting)
+    @pytest.mark.parametrize("grid", [GridSpec(), GridSpec().refined()], ids=["default", "refined"])
+    def test_certificate_takes_four_small_kernel_calls(self, monkeypatch, grid):
+        # the played payoffs, then 10 polarization rows per player, whatever
+        # the grid size: the per-op work of a nash-map certificate
+        rows = kernel_rows(monkeypatch)
         profile = Profile(defect(), cooperate(), cooperate())
-        verify_nash(profile, GameConfig(0.3, 0.7), GridSpec().refined())
-        assert len(rows) == 4
-        assert max(rows) <= 10
+        verify_nash(profile, GameConfig(0.3, 0.7), grid)
+        assert rows == [1, 10, 10, 10]
 
     def test_refined_grid_peak_memory_per_candidate(self):
         # the scan holds at most three grid-sized float arrays at once
@@ -248,12 +266,14 @@ class TestExactCrossCheck:
                 assert grid_gap <= exact + 1e-12
 
     def test_top_eigenvalue_within_column_maximum(self, rng):
-        for trial in range(40):
+        # trial t's deviating player is t % 3; each player's trials are one batch
+        trials = []
+        for _ in range(40):
             config = random_config(rng)
-            player = trial % 3
-            others = (random_params(rng), random_params(rng))
-            top = np.linalg.eigvalsh(_payoff_form(player, others, config)).max()
-            assert top <= DEFAULT_PAYOFF_TABLE.column(player).max() + 1e-12
+            trials.append(((random_params(rng), random_params(rng)), config))
+        for player in range(3):
+            top = np.linalg.eigvalsh(payoff_forms(player, trials[player::3])).max(axis=1)
+            assert np.all(top <= DEFAULT_PAYOFF_TABLE.column(player).max() + 1e-12)
 
     def test_exact_gaps_equal_grid_gaps_at_stated_profiles(self, scan):
         expected = {
@@ -309,21 +329,23 @@ class TestBestResponse:
         # the measurement pairing carries sign (-1)^(l xor m), so the game is
         # exactly symmetric under exchanging Alice and Bob at every (gamma,
         # delta): against the same opponents their payoff forms coincide
+        trials = []
         for _ in range(20):
             config = GameConfig(rng.uniform(0, HALF_PI), rng.uniform(0, HALF_PI))
-            others = (random_params(rng), random_params(rng))
-            diff = _payoff_form(0, others, config) - _payoff_form(1, others, config)
-            assert np.abs(diff).max() < 1e-12
+            trials.append(((random_params(rng), random_params(rng)), config))
+        diff = payoff_forms(0, trials) - payoff_forms(1, trials)
+        assert np.abs(diff).max() < 1e-12
 
     def test_bob_charlie_symmetric_in_product_basis(self, rng):
         # exchanging Bob and Charlie is only a symmetry when the measurement
         # basis is the computational one (delta = 0); the entangled pairing
         # breaks it
+        trials = []
         for _ in range(20):
             config = GameConfig(rng.uniform(0, HALF_PI), 0.0)
-            others = (random_params(rng), random_params(rng))
-            diff = _payoff_form(1, others, config) - _payoff_form(2, others, config)
-            assert np.abs(diff).max() < 1e-12
+            trials.append(((random_params(rng), random_params(rng)), config))
+        diff = payoff_forms(1, trials) - payoff_forms(2, trials)
+        assert np.abs(diff).max() < 1e-12
 
 
 class TestVerifyNash:
@@ -369,7 +391,7 @@ class TestVerifyNash:
         config, grid = GameConfig(0.3, 0.9), GridSpec(3, 3, 3)
         report = verify_nash(profile, config, grid)
         others = profile.as_tuple()[1:]
-        quats, form = quaternions_of(grid_moves(grid)), _payoff_form(0, others, config)
+        quats, (form,) = quaternions_of(grid_moves(grid)), payoff_forms(0, [(others, config)])
         best_grid = float(dense_grid_payoffs(form, quats).max())
         assert report.payoff.alice == pytest.approx(3.7473, abs=1e-4)
         assert best_grid == pytest.approx(3.6930, abs=1e-4)
@@ -430,18 +452,43 @@ class TestFourCaseScan:
 
     def test_pe_eq_ep_holds_at_the_tolerance(self, monkeypatch):
         # "equal within PAYOFF_TOL" takes in a gap of exactly PAYOFF_TOL
-        original = qpd3.equilibrium.verify_nash
+        original = qpd3.equilibrium._certify
         levels = {REGIMES["PE"]: 0.0, REGIMES["EP"]: PAYOFF_TOL}
 
-        def stub(profile, config, grid):
-            report = original(profile, config, grid)
-            level = levels.get((config.gamma, config.delta))
-            return report if level is None else replace(report, payoff=PayoffTriple(*[level] * 3))
+        def stub(profiles, gammas, deltas, table, grid):
+            reports = original(profiles, gammas, deltas, table, grid)
+            return [
+                report if level is None else replace(report, payoff=PayoffTriple(*[level] * 3))
+                for report, level in zip(reports, map(levels.get, zip(gammas, deltas)))
+            ]
 
-        monkeypatch.setattr(qpd3.equilibrium, "verify_nash", stub)
+        monkeypatch.setattr(qpd3.equilibrium, "_certify", stub)
         ordering = four_case_scan(grid=SMALL_GRID).ordering
         assert ordering["pe_eq_ep_gap"] == PAYOFF_TOL
         assert ordering["pe_eq_ep"] is True
+
+    @pytest.mark.parametrize("grid", [GridSpec(), SMALL_GRID], ids=["default", "5x5x5"])
+    @pytest.mark.parametrize("scale", [(1.0, 0.0), (2.5, -7.0)], ids=["classic", "affine"])
+    def test_every_certificate_equals_verify_nash(self, grid, scale):
+        # the batched certificates against one verify_nash per profile, bit for bit
+        a, b = scale
+        entries = DEFAULT_PAYOFF_TABLE.entries
+        table = PayoffTable(tuple(tuple(a * x + b for x in row) for row in entries))
+        scan = four_case_scan(table, grid)
+        certificates = [*scan.reports.items(), *scan.secondary.items()]
+        assert len(certificates) == 6
+        for case, report in certificates:
+            alone = verify_nash(report.profile, GameConfig(*REGIMES[case], table), grid)
+            assert report.profile == alone.profile and report.grid == alone.grid
+            pairs = [(report.payoff.as_tuple(), alone.payoff.as_tuple()), (report.gaps, alone.gaps)]
+            for got, want in pairs:
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_scan_takes_four_kernel_calls(self, monkeypatch):
+        # six played payoffs, then 10 polarization rows per profile and player
+        rows = kernel_rows(monkeypatch)
+        four_case_scan()
+        assert rows == [6, 60, 60, 60]
 
     def test_bound_checks_document_the_violation(self, scan):
         by_key = {(b["case"], round(b["theta"], 6)): b for b in scan.bounds}

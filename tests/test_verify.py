@@ -81,9 +81,10 @@ def test_bundle_kernel_budget(monkeypatch):
         monkeypatch.setattr(module, "outcome_probabilities", counted)
     build_verify_bundle(1729)
     # 1 classical-limit batch, 1 basis batch, 1 Born-conservation batch,
-    # 4 protocol tables, 6 certificates x 4 calls, and 1 batch per
-    # closed-form sampler
-    assert (calls, rows) == (33, 4354)
+    # 4 calls for the scan's 6 certificates (played payoffs, then one
+    # polarization batch per player), 1 batch for the 4 protocol tables,
+    # and 1 batch per closed-form sampler
+    assert (calls, rows) == (10, 4354)
 
 
 #: ``what`` of the discrepancy records the four-regime scan owns.
@@ -111,15 +112,17 @@ def test_scan_and_bundle_state_the_scan_findings_alike(tmp_path):
 
 def test_pe_ne_ep_is_a_record_in_both_reports(tmp_path, monkeypatch):
     # every PE profile pays (2, 2, 2) and every EP profile (2.5, 2.5, 2.5)
-    original = qpd3.equilibrium.verify_nash
+    original = qpd3.equilibrium._certify
     levels = {REGIMES["PE"]: 2.0, REGIMES["EP"]: 2.5}
 
-    def stub(profile, config, grid):
-        report = original(profile, config, grid)
-        level = levels.get((config.gamma, config.delta))
-        return report if level is None else replace(report, payoff=PayoffTriple(*[level] * 3))
+    def stub(profiles, gammas, deltas, table, grid):
+        reports = original(profiles, gammas, deltas, table, grid)
+        return [
+            report if level is None else replace(report, payoff=PayoffTriple(*[level] * 3))
+            for report, level in zip(reports, map(levels.get, zip(gammas, deltas)))
+        ]
 
-    monkeypatch.setattr(qpd3.equilibrium, "verify_nash", stub)
+    monkeypatch.setattr(qpd3.equilibrium, "_certify", stub)
     records = _scan_discrepancies(tmp_path)
     assert records == [{"what": "PE = EP equality", "gap": 0.5}]
     assert records == _bundle_scan_discrepancies()
