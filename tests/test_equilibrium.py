@@ -478,9 +478,15 @@ class TestFourCaseScan:
         certificates = [*scan.reports.items(), *scan.secondary.items()]
         assert len(certificates) == 6
         for case, report in certificates:
-            alone = verify_nash(report.profile, GameConfig(*REGIMES[case], table), grid)
+            config = GameConfig(*REGIMES[case], table)
+            alone = verify_nash(report.profile, config, grid)
+            oracle = expected_payoffs(config, *report.profile.as_tuple())
             assert report.profile == alone.profile and report.grid == alone.grid
-            pairs = [(report.payoff.as_tuple(), alone.payoff.as_tuple()), (report.gaps, alone.gaps)]
+            pairs = [
+                (report.payoff.as_tuple(), alone.payoff.as_tuple()),
+                (report.payoff.as_tuple(), oracle.as_tuple()),
+                (report.gaps, alone.gaps),
+            ]
             for got, want in pairs:
                 assert np.array(got).tobytes() == np.array(want).tobytes()
 
