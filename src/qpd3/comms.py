@@ -406,9 +406,8 @@ class InfoRelationReport:
     def to_record(self) -> dict:
         return {
             "source": self.source,
-            "model": {"visible": self.model.visible},
+            "model": self.model.visible,
             "values": dict(self.values),
-            "verdicts": self.verdicts(),
         }
 
 

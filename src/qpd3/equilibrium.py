@@ -164,13 +164,13 @@ class EquilibriumReport:
     unilateral move to any grid point, clamped at 0.  The played point lies
     on the grid only for on-grid profiles, so an off-grid player whose
     payoff beats every grid point reads 0, not a negative gap.  The profile
-    is grid-Nash when no gap exceeds ``PAYOFF_TOL``.
+    is grid-Nash when no gap exceeds ``PAYOFF_TOL``.  The grid is not kept:
+    a report document states it once, under ``inputs``.
     """
 
     profile: Profile
     payoff: PayoffTriple
     gaps: tuple[float, float, float]
-    grid: GridSpec
 
     @property
     def is_nash(self) -> bool:
@@ -182,7 +182,6 @@ class EquilibriumReport:
             "payoff": list(self.payoff.as_tuple()),
             "best_response_gaps": list(self.gaps),
             "tol": PAYOFF_TOL,
-            "grid": self.grid.to_record(),
             "is_nash": self.is_nash,
         }
 
@@ -279,7 +278,7 @@ def _certify(
     reports = []
     for profile, payoff, tops in zip(profiles, payoffs.tolist(), zip(*best)):
         gaps = tuple(max(top - x, 0.0) for top, x in zip(tops, payoff))
-        reports.append(EquilibriumReport(profile, PayoffTriple(*payoff), gaps, grid))
+        reports.append(EquilibriumReport(profile, PayoffTriple(*payoff), gaps))
     return reports
 
 
@@ -317,7 +316,9 @@ class FourCaseScan:
     holds one "payoff below 3" verdict record per stated mixed-regime profile
     (``case``, ``theta``, ``payoff``, ``bound``, ``holds``, ``max_component``)
     and ``ordering`` the measured verdicts for the claimed chain
-    PP < PE = EP < EE.
+    PP < PE = EP < EE.  :meth:`to_record` holds the measured certificates
+    only; the bounds and the ordering are judgements, stated once, by
+    :meth:`verdicts`.
     """
 
     reports: dict[str, EquilibriumReport]
@@ -331,8 +332,6 @@ class FourCaseScan:
             "secondary_profiles": [
                 {"case": case, **r.to_record()} for case, r in self.secondary.items()
             ],
-            "bound_checks": list(self.bounds),
-            "ordering": self.ordering,
         }
 
     def verdicts(self) -> dict:
