@@ -12,7 +12,9 @@ Subcommands:
 
 The parser turns each option's text into a value, and every bad input exits 2
 with one ``error:`` line; each subcommand makes its library call and renders the
-result.  The checks themselves live in the library (:mod:`qpd3.verify`).
+result as one JSON report with five sections, written to ``--out`` or, with the
+same bytes, to stdout.  The checks themselves live in the library
+(:mod:`qpd3.verify`).
 
 Angles are accepted as rational multiples of pi ("pi/3", "-pi", "3pi/4") or
 as plain radian numbers.  Only ``verify`` draws random numbers, from
@@ -23,8 +25,6 @@ are byte-identical across runs.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -36,6 +36,7 @@ from fractions import Fraction
 from . import __version__
 from .closedform import compare_to_oracle  # unused; bench/test_smoke.py pins this binding
 from .comms import (
+    _VISIBLE,
     COLUMNS,
     CODEWORDS,
     ObservationModel,
@@ -56,7 +57,7 @@ from .game import (
     StrategyParams,
     outcome_probabilities,
 )
-from .verify import build_verify_bundle, checks, report_doc
+from .verify import build_verify_bundle, report_doc
 
 #: Default RNG seed of ``verify``; override with --seed.
 DEFAULT_SEED = 1729
@@ -178,7 +179,9 @@ def atomic_write(path: str, data: str) -> None:
 
 
 def render_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The report as JSON text; a NaN or infinite value raises ``ValueError``,
+    since RFC 8259 JSON has no such numbers."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _emit(args, payload: str) -> None:
@@ -229,32 +232,13 @@ def cmd_payoff(args) -> int:
             "outcome_probabilities": dict(zip(OUTCOMES, probs[0].tolist())),
         },
     )
-    if args.out:
-        _emit(args, render_json(doc))
-    else:
-        sys.stdout.write("(" + ", ".join(f"{x:.10g}" for x in payoffs) + ")\n")
+    _emit(args, render_json(doc))
     return 0
 
 
 def cmd_table(args) -> int:
     gamma, delta, table = args.gamma, args.delta, _table_for(args)
     oracle = protocol_table(gamma, delta, table)
-
-    if args.format == "csv":
-        # A CSV holds the table alone; it has no room for a fixture comparison.
-        _reject_given(args, "table --format csv", ("fixture",))
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["codeword", "theta_b", "theta_c", "alice", "bob", "charlie"])
-        for i, cw in enumerate(CODEWORDS):
-            for j, col in enumerate(COLUMNS):
-                writer.writerow(
-                    [cw.bits, f"{col[0]:.10g}", f"{col[1]:.10g}"]
-                    + [f"{x:.12g}" for x in oracle.entry(i, j).as_tuple()]
-                )
-        _emit(args, buf.getvalue())
-        return 0
-
     fixture_name = args.fixture or auto_fixture(gamma, delta, table)
     fixtures = {}
     discrepancies = []
@@ -308,17 +292,9 @@ def cmd_nash(args) -> int:
     return 0
 
 
-#: ``--model`` choices and the ``ObservationModel.visible`` names they select.
-_MODEL_VISIBLE = {"own": "own", "pair": "bob-and-charlie", "full": "full-triple"}
-
-
-def _model_from(args) -> ObservationModel:
-    return ObservationModel(visible=_MODEL_VISIBLE[args.model])
-
-
 def cmd_comm_simulate(args) -> int:
     table = protocol_table(args.gamma, args.delta, _table_for(args))
-    model = _model_from(args)
+    model = ObservationModel(visible=args.model)
 
     transmissions = []
     for cw_index, cw in enumerate(CODEWORDS):
@@ -338,10 +314,7 @@ def cmd_comm_simulate(args) -> int:
                 }
             )
 
-    info = {
-        name: information_bits(table, ObservationModel(visible=vis))
-        for name, vis in _MODEL_VISIBLE.items()
-    }
+    info = {name: information_bits(table, ObservationModel(visible=name)) for name in _VISIBLE}
     doc = report_doc(
         inputs={
             "command": "comm simulate",
@@ -368,7 +341,7 @@ def cmd_comm_decode(args) -> int:
         if args.gamma is None or args.delta is None:
             raise UsageError("decode needs --fixture or both --gamma and --delta")
         table = protocol_table(args.gamma, args.delta, _table_for(args))
-    model = _model_from(args)
+    model = ObservationModel(visible=args.model)
     result = decode(table, args.common, args.observed, model)
 
     alice_payoffs = {}
@@ -390,22 +363,14 @@ def cmd_comm_decode(args) -> int:
         },
         verdicts={"unique": len(result.candidates) == 1},
     )
-    if args.out:
-        _emit(args, render_json(doc))
-    else:
-        bits = ",".join(c.bits for c in result.candidates)
-        sys.stdout.write(
-            f"codeword {bits}; alice payoff "
-            + ",".join(f"{alice_payoffs[c.bits]:.10g}" for c in result.candidates)
-            + f"; bits resolved {result.bits_resolved:.10g}\n"
-        )
+    _emit(args, render_json(doc))
     return 0
 
 
 def cmd_verify(args) -> int:
     doc, hard = build_verify_bundle(args.seed)
     _emit(args, render_json(doc))
-    for name, ok in checks(doc["results"]):
+    for name, ok in doc["verdicts"]["checks"].items():
         sys.stderr.write(f"{'pass' if ok else 'FAIL'}  {name}\n")
     sys.stderr.write(
         f"{len(hard)} hard failure(s); {len(doc['discrepancies'])} documented discrepancy record(s)\n"
@@ -455,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", required=True, type=parse_angle)
     p.add_argument("--fixture", choices=("table2", "table3"))
     _add_payoff_source(p)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_out(p)
     p.set_defaults(func=cmd_table)
 
@@ -478,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = comm_sub.add_parser("simulate", help="run the protocol over a config")
     ps.add_argument("--gamma", required=True, type=parse_angle)
     ps.add_argument("--delta", required=True, type=parse_angle)
-    ps.add_argument("--model", choices=tuple(_MODEL_VISIBLE), default="pair")
+    ps.add_argument("--model", choices=tuple(_VISIBLE), default="bob-and-charlie")
     _add_payoff_source(ps)
     _add_out(ps)
     ps.set_defaults(func=cmd_comm_simulate)
@@ -489,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--delta", type=parse_angle)
     pd.add_argument("--common", required=True, type=parse_pair, metavar="T,T")
     pd.add_argument("--observed", required=True, type=parse_observed, metavar="P[,P[,P]]")
-    pd.add_argument("--model", choices=tuple(_MODEL_VISIBLE), default="pair")
+    pd.add_argument("--model", choices=tuple(_VISIBLE), default="bob-and-charlie")
     _add_payoff_source(pd)
     _add_out(pd)
     pd.set_defaults(func=cmd_comm_decode)

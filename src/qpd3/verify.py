@@ -2,8 +2,9 @@
 
 :func:`build_verify_bundle` checks the trace-rule payoffs, the published
 closed form, the regime equilibria and the signaling protocol's information
-relation against the oracle.  Hard checks pass or fail; a published claim
-the oracle does not reproduce is a documented discrepancy record instead.
+relation against the oracle.  Each hard check passes or fails once, in
+``verdicts.checks``; a published claim the oracle does not reproduce is a
+documented discrepancy record instead.
 Every report, the bundle and each ``qpd3`` command's, has the five sections
 of :func:`report_doc`.  A fixed seed gives a byte-identical bundle.
 """
@@ -50,12 +51,8 @@ def report_doc(inputs: dict, results: dict, fixtures_compared=None, verdicts=Non
     }
 
 
-def _check(name: str, ok: bool, detail: dict) -> dict:
-    return {"check": name, "pass": bool(ok), **detail}
-
-
-def _sums_to_one(name: str, gamma, delta, players) -> dict:
-    """Check ``name``: every row of one kernel call sums to 1 within ``ATOL``.
+def _sums_to_one(gamma, delta, players) -> tuple[bool, dict]:
+    """Whether every row of one kernel call sums to 1 within ``ATOL``, and the measure.
 
     The kernel raises on a miss beyond ``ATOL``, and that error is the
     check's failure; a smaller miss is measured here, not left to the kernel.
@@ -63,21 +60,21 @@ def _sums_to_one(name: str, gamma, delta, players) -> dict:
     try:
         probs = outcome_probabilities(gamma, delta, *players)
     except ValueError as exc:
-        return _check(name, False, {"error": str(exc)})
+        return False, {"error": str(exc)}
     worst = float(np.max(np.abs(probs.sum(axis=1) - 1.0)))
-    return _check(name, worst <= ATOL, {"max_abs_sum_error": worst})
-
-
-def checks(results: dict) -> list[tuple[str, bool]]:
-    """Each hard check among a bundle's ``results`` and whether it passed, in order."""
-    return [(name, e["pass"]) for name, e in results.items() if isinstance(e, dict) and "pass" in e]
+    return worst <= ATOL, {"max_abs_sum_error": worst}
 
 
 def build_verify_bundle(seed: int) -> tuple[dict, list]:
-    """Run every verification check; returns (report doc, hard failure names)."""
+    """Run every verification check; returns (report doc, hard failure names).
+
+    Each hard check is judged once, in ``verdicts.checks`` (name -> passed, in
+    run order); its measurements, if any, sit under ``results.<name>``.
+    """
     grid = GridSpec()
     rng = np.random.default_rng(seed)
     table = DEFAULT_PAYOFF_TABLE
+    checks: dict[str, bool] = {}
     results: dict = {}
     verdicts: dict = {}
     discrepancies: list = []
@@ -92,7 +89,8 @@ def build_verify_bundle(seed: int) -> tuple[dict, list]:
     profiles[..., 1:] = rng.uniform(_PARAM_LO[1:], _PARAM_HI[1:], size=(80, 3, 2))
     probs = outcome_probabilities(0.0, 0.0, *profiles.transpose(1, 0, 2))
     worst = float(np.max(np.abs(table.expected(probs) - np.array(table.entries)[bits])))
-    results["classical_limit"] = _check("classical_limit", worst <= ATOL, {"max_abs_error": worst})
+    checks["classical_limit"] = worst <= ATOL
+    results["classical_limit"] = {"max_abs_error": worst}
 
     # Measurement basis, through the kernel itself.  At gamma = 0 each player
     # sends |0>, |1>, |+> or |+i>, and the 64 product projectors span every
@@ -102,43 +100,33 @@ def build_verify_bundle(seed: int) -> tuple[dict, list]:
     half = math.pi / 2
     states = np.array([(0.0, 0.0, 0.0), (math.pi, 0.0, 0.0), (half, 0.0, half), (half, 0.0, 0.0)])
     index = np.indices((16, 4, 4, 4)).reshape(4, -1)
-    results["basis_completeness"] = _sums_to_one(
-        "basis_completeness", 0.0, np.linspace(0.0, half, 16)[index[0]], states[index[1:]]
+    checks["basis_completeness"], results["basis_completeness"] = _sums_to_one(
+        0.0, np.linspace(0.0, half, 16)[index[0]], states[index[1:]]
     )
 
     # Born conservation over 1000 seeded draws of the whole space.
     gamma, delta, params = sample_any(rng, 1000)
-    results["born_conservation"] = _sums_to_one(
-        "born_conservation", gamma, delta, params.transpose(1, 0, 2)
+    checks["born_conservation"], results["born_conservation"] = _sums_to_one(
+        gamma, delta, params.transpose(1, 0, 2)
     )
 
     # Four-regime scan: the PP and EE values are analytically forced; the
-    # mixed-regime bound and equality claims are measured verdicts.
+    # mixed-regime bound and equality claims are measured verdicts.  The
+    # payoffs and gaps these checks judge are leaves of ``results.regimes``.
     scan = four_case_scan(table, grid)
     results["regimes"] = scan.to_record()
     pp, ee = scan.reports["PP"], scan.reports["EE"]
-    results["pp_value"] = _check(
-        "pp_value",
-        max(abs(x - 1.0) for x in pp.payoff.as_tuple()) <= PAYOFF_TOL,
-        {"payoff": list(pp.payoff.as_tuple())},
-    )
-    results["ee_value"] = _check(
-        "ee_value",
-        max(abs(x - 3.0) for x in ee.payoff.as_tuple()) <= PAYOFF_TOL,
-        {"payoff": list(ee.payoff.as_tuple())},
-    )
-    results["pp_nash"] = _check("pp_nash", pp.is_nash, {"gaps": list(pp.gaps)})
+    checks["pp_value"] = max(abs(x - 1.0) for x in pp.payoff.as_tuple()) <= PAYOFF_TOL
+    checks["ee_value"] = max(abs(x - 3.0) for x in ee.payoff.as_tuple()) <= PAYOFF_TOL
+    checks["pp_nash"] = pp.is_nash
     verdicts.update(scan.verdicts())
     discrepancies.extend(scan.discrepancies())
 
     # Closed form vs oracle: one kernel call over each sampler's 1000 rows.
     *_, restricted = _oracle_deltas(sample_classical_limit, 1000, seed)
     restricted_max = float(restricted.max())
-    results["closed_form_classical"] = _check(
-        "closed_form_classical",
-        restricted_max <= PAYOFF_TOL,
-        {"max_abs_delta": restricted_max},
-    )
+    checks["closed_form_classical"] = restricted_max <= PAYOFF_TOL
+    results["closed_form_classical"] = {"max_abs_delta": restricted_max}
     *_, unrestricted = _oracle_deltas(sample_any, 1000, seed + 1)
     deltas = np.sort(unrestricted.max(axis=1))
     results["closed_form_unrestricted"] = {
@@ -162,14 +150,11 @@ def build_verify_bundle(seed: int) -> tuple[dict, list]:
     d2 = decode(t2, (math.pi, math.pi), (4.0, 4.0), model)
     ok1 = [c.bits for c in d1.candidates] == ["11"] and t2.entry(3, 0).alice == 5.0
     ok2 = [c.bits for c in d2.candidates] == ["00"] and t2.entry(0, 3).alice == 0.0
-    results["decode_examples"] = _check(
-        "decode_examples",
-        ok1 and ok2,
-        {
-            "common_0_observed_2_2": d1.to_record(),
-            "common_pi_observed_4_4": d2.to_record(),
-        },
-    )
+    checks["decode_examples"] = ok1 and ok2
+    results["decode_examples"] = {
+        "common_0_observed_2_2": d1.to_record(),
+        "common_pi_observed_4_4": d2.to_record(),
+    }
 
     # Oracle tables vs published fixtures, per regime.
     fixtures_compared = {}
@@ -189,17 +174,16 @@ def build_verify_bundle(seed: int) -> tuple[dict, list]:
     ]
     results["information"] = [r.to_record() for r in info_reports]
     table2_full = information_bits(t2, ObservationModel(visible="full-triple"))
-    results["table2_full_bits"] = _check(
-        "table2_full_bits", table2_full == 2.0, {"bits": table2_full}
-    )
+    checks["table2_full_bits"] = table2_full == 2.0
+    results["table2_full_bits"] = {"bits": table2_full}
     verdicts["information_relation"] = [
         {"source": r.source, "model": r.model.visible, **r.verdicts()} for r in info_reports
     ]
     for r in info_reports:
         discrepancies.extend(r.discrepancies())
 
-    hard = [name for name, ok in checks(results) if not ok]
-    verdicts["hard_failures"] = hard
+    verdicts["checks"] = checks
+    hard = [name for name, ok in checks.items() if not ok]
     doc = report_doc(
         inputs={
             "command": "verify",

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import inspect
 import json
 import math
@@ -41,6 +42,12 @@ def assert_usage_error(argv, tmp_path, capsys, *needles):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert all(needle in captured.err for needle in needles)
     assert not out.exists()
+
+
+def stdout_report(argv, capsys) -> dict:
+    """The report ``argv`` prints to stdout when no ``--out`` is given."""
+    assert main(argv) == 0
+    return json.loads(capsys.readouterr().out)
 
 
 def stderr_of_two_runs(argv, capsys) -> list[str]:
@@ -116,21 +123,16 @@ class TestPayoffCommand:
     @pytest.mark.parametrize(
         "gamma,delta,alice,bob,charlie,expected",
         [
-            ("0", "0", "0,0,0", "0,0,0", "0,0,0", "(3, 3, 3)"),
-            ("pi/2", "pi/2", "0,pi,pi", "0,0,0", "0,0,0", "(3, 3, 3)"),
-            ("0", "0", "pi,pi,pi", "0,0,pi/2", "0,0,pi/2", "(5, 2, 2)"),
+            ("0", "0", "0,0,0", "0,0,0", "0,0,0", (3, 3, 3)),
+            ("pi/2", "pi/2", "0,pi,pi", "0,0,0", "0,0,0", (3, 3, 3)),
+            ("0", "0", "pi,pi,pi", "0,0,pi/2", "0,0,pi/2", (5, 2, 2)),
         ],
     )
     def test_reference_profiles(self, capsys, gamma, delta, alice, bob, charlie, expected):
-        rc = main(
-            [
-                "payoff",
-                "--gamma", gamma, "--delta", delta,
-                "--alice", alice, "--bob", bob, "--charlie", charlie,
-            ]
-        )
-        assert rc == 0
-        assert capsys.readouterr().out.strip() == expected
+        argv = ["payoff", "--gamma", gamma, "--delta", delta,
+                "--alice", alice, "--bob", bob, "--charlie", charlie]
+        payoffs = stdout_report(argv, capsys)["results"]["payoffs"]
+        assert payoffs == pytest.approx(expected, abs=1e-12)
 
     def test_malformed_angle_exits_nonzero(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -166,15 +168,6 @@ class TestPayoffCommand:
         assert rc == 0
         assert spy.call_count == 1
 
-    def test_format_belongs_to_table_only(self, tmp_path):
-        out = tmp_path / "payoff.csv"
-        with pytest.raises(SystemExit) as excinfo:
-            main(["payoff", "--gamma", "0", "--delta", "0",
-                  "--alice", "0,0,0", "--bob", "0,0,0", "--charlie", "0,0,0",
-                  "--format", "csv", "--out", str(out)])
-        assert excinfo.value.code == 2
-        assert not out.exists()
-
 
 class TestTableCommand:
     def test_auto_fixture_and_discrepancies(self, tmp_path):
@@ -196,20 +189,6 @@ class TestTableCommand:
         assert doc["inputs"]["fixture"] == "table3"
         assert doc["verdicts"]["matches_fixture"]
         assert doc["discrepancies"] == []
-
-    def test_csv_export(self, tmp_path):
-        out = tmp_path / "table.csv"
-        rc = main(["table", "--gamma", "0", "--delta", "0",
-                   "--format", "csv", "--out", str(out)])
-        assert rc == 0
-        lines = out.read_text().strip().splitlines()
-        assert lines[0].startswith("codeword,theta_b,theta_c")
-        assert len(lines) == 17  # header + 16 cells
-
-    def test_csv_rejects_a_named_fixture(self, tmp_path, capsys):
-        # a CSV holds the table alone, so the comparison asked for would be dropped
-        argv = ["table", "--gamma", "0", "--delta", "0", "--format", "csv", "--fixture", "table2"]
-        assert_usage_error(argv, tmp_path, capsys, "--format csv", "--fixture")
 
     def test_custom_table_is_not_compared_with_a_fixture(self, tmp_path):
         # the fixtures hold the classic payoffs, so a custom table at a regime
@@ -312,12 +291,9 @@ class TestNashCommand:
 
 class TestCommCommands:
     def test_decode_fixture_example(self, capsys):
-        rc = main(["comm", "decode", "--fixture", "table2",
-                   "--common", "0,0", "--observed", "2,2"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "codeword 11" in out
-        assert "alice payoff 5" in out
+        results = stdout_report(DECODE_ARGS, capsys)["results"]
+        assert results["decoded"]["candidates"] == ["11"]
+        assert results["alice_payoff_by_candidate"] == {"11": 5.0}
 
     def test_decode_report(self, tmp_path):
         out = tmp_path / "decode.json"
@@ -364,8 +340,10 @@ class TestCommCommands:
         doc = json.loads(out.read_text())
         assert doc["verdicts"]["fully_decodable"] is True
         assert len(doc["results"]["transmissions"]) == 8  # 4 codewords x 2 common moves
+        # keyed by the same model names as --model and inputs.model
         info = doc["results"]["information_bits"]
-        assert info["full"] == 2.0
+        assert doc["inputs"]["model"] == "bob-and-charlie"
+        assert info == {"own": 2.0, "bob-and-charlie": 2.0, "full-triple": 2.0}
 
 
 class TestPayoffTableFile:
@@ -374,11 +352,8 @@ class TestPayoffTableFile:
         table_file.write_text(
             json.dumps({format(b, "03b"): [1.0, 1.0, 1.0] for b in range(8)})
         )
-        rc = main(["payoff", "--gamma", "0", "--delta", "0",
-                   "--alice", "0,0,0", "--bob", "0,0,0", "--charlie", "0,0,0",
-                   "--payoffs", str(table_file)])
-        assert rc == 0
-        assert capsys.readouterr().out.strip() == "(1, 1, 1)"
+        doc = stdout_report(PAYOFF_ARGS + ["--payoffs", str(table_file)], capsys)
+        assert doc["results"]["payoffs"] == [1.0, 1.0, 1.0]
 
     def test_bad_schema_rejected(self, tmp_path):
         table_file = tmp_path / "bad.json"
@@ -465,7 +440,8 @@ class TestVerify:
         doc = json.loads(out1.read_text())
         assert set(doc) == SECTIONS
         assert doc["inputs"]["seed"] == DEFAULT_SEED == 1729
-        assert doc["verdicts"]["hard_failures"] == []
+        assert len(doc["verdicts"]["checks"]) == 9
+        assert all(doc["verdicts"]["checks"].values())
 
     def test_born_conservation_failure_is_reported(self, monkeypatch, tmp_path, capsys):
         kernel = qpd3.verify.outcome_probabilities
@@ -477,12 +453,13 @@ class TestVerify:
 
         monkeypatch.setattr(qpd3.verify, "outcome_probabilities", failing_on_per_row_angles)
         doc, hard = build_verify_bundle(DEFAULT_SEED)
-        record = doc["results"]["born_conservation"]
-        assert record["pass"] is False
-        assert "beyond 1e-12" in record["error"]
+        assert doc["verdicts"]["checks"]["born_conservation"] is False
+        assert "beyond 1e-12" in doc["results"]["born_conservation"]["error"]
         assert hard == ["born_conservation"]
         assert main(["verify", "--out", str(tmp_path / "v.json")]) == 1
-        assert "FAIL  born_conservation" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert "FAIL  born_conservation" in err
+        assert sum(line.startswith("pass  ") for line in err) == 8
 
     def test_unraised_basis_miss_is_reported(self, monkeypatch):
         # rows that miss 1 by 1e-9 with no error raised: the check measures
@@ -494,9 +471,9 @@ class TestVerify:
 
         monkeypatch.setattr(qpd3.verify, "outcome_probabilities", drifting)
         doc, hard = build_verify_bundle(DEFAULT_SEED)
+        assert doc["verdicts"]["checks"]["basis_completeness"] is False
         record = doc["results"]["basis_completeness"]
-        assert record["pass"] is False
-        assert record["max_abs_sum_error"] == pytest.approx(1e-9, rel=1e-6)
+        assert record == {"max_abs_sum_error": pytest.approx(1e-9, rel=1e-6)}
         assert "basis_completeness" in hard
 
     def test_negative_seed_names_the_option(self, tmp_path, capsys):
@@ -508,8 +485,9 @@ class TestVerify:
     def test_bundle_contents(self):
         doc, hard = build_verify_bundle(seed=5)
         assert hard == []
-        results = doc["results"]
-        for name in (
+        # each hard check is judged once, in run order, and nowhere else
+        checks = doc["verdicts"]["checks"]
+        assert list(checks) == [
             "classical_limit",
             "basis_completeness",
             "born_conservation",
@@ -519,8 +497,13 @@ class TestVerify:
             "closed_form_classical",
             "decode_examples",
             "table2_full_bits",
-        ):
-            assert results[name]["pass"] is True
+        ]
+        assert all(ok is True for ok in checks.values())
+        assert "hard_failures" not in doc["verdicts"]
+        results = doc["results"]
+        assert not {"pp_value", "ee_value", "pp_nash"} & set(results)
+        assert not [name for name, node in results.items()
+                    if isinstance(node, dict) and {"pass", "check"} & set(node)]
         assert results["closed_form_unrestricted"]["max_abs_delta"] > 0
         assert doc["verdicts"]["ordering"]["chain_holds"] is True
         # the known violations are documented, never silently dropped
@@ -532,7 +515,7 @@ class TestVerify:
 #: Every option of every subcommand; a new or removed flag must update this.
 OPTIONS = {
     "payoff": "alice bob charlie delta gamma out payoffs",
-    "table": "delta fixture format gamma out payoffs",
+    "table": "delta fixture gamma out payoffs",
     "nash": "alice bob charlie delta gamma grid out payoffs scan",
     "comm simulate": "delta gamma model out payoffs",
     "comm decode": "common delta fixture gamma model observed out payoffs",
@@ -598,8 +581,7 @@ def _with(argv, option, text):
         (["nash", "--scan", "--grid", "1,2,2"], ["argument --grid: ", "at least 2 points"]),
         (["verify", "--seed", "x"], ["argument --seed: ", "'x'"]),
         (PAYOFF_ARGS[:-2], ["the following arguments are required: --charlie"]),
-        (["table", "--gamma", "0", "--delta", "0", "--format", "xml"],
-         ["argument --format: ", "'xml'"]),
+        (DECODE_ARGS + ["--model", "full"], ["argument --model: ", "'full'"]),
         (PAYOFF_ARGS + ["--bogus"], ["unrecognized arguments: --bogus"]),
         ([], ["required: {payoff,table,nash,comm,verify}"]),
         (["comm"], ["required: {simulate,decode}"]),
@@ -630,6 +612,58 @@ def test_every_text_option_is_converted_by_the_parser():
     assert [f.__name__ for f in handlers if "parse_" in inspect.getsource(f)] == []
 
 
+#: One run of each of the six commands.
+EVERY_COMMAND = [
+    PAYOFF_ARGS,
+    ["table", "--gamma", "0", "--delta", "0"],
+    ["nash", "--scan", "--grid", "3,3,3"],
+    ["comm", "simulate", "--gamma", "0", "--delta", "pi/2"],
+    DECODE_ARGS,
+    ["verify"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", EVERY_COMMAND, ids=["payoff", "table", "nash", "comm simulate", "comm decode", "verify"]
+)
+def test_stdout_is_the_out_file(tmp_path, capsys, argv):
+    # --out decides where the report goes, never what it holds
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode()
+    assert set(json.loads(printed)) == SECTIONS
+
+
+def test_only_emit_writes_stdout():
+    # every report reaches stdout through _emit, so no command has a second rendering
+    tree = ast.parse(Path(qpd3.cli.__file__).read_text(encoding="utf-8"))
+    emit = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_emit")
+    inside = {id(n) for n in ast.walk(emit)}
+    writers = [
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in inside
+        and (
+            (isinstance(node, ast.Attribute) and node.attr == "stdout")
+            or (isinstance(node, ast.Name) and node.id == "print")
+        )
+    ]
+    assert writers == []
+
+
+def test_non_finite_report_is_refused(tmp_path, capsys):
+    # Alice's payoffs of +-1.7e308 by outcome parity overflow the scan's gaps
+    # to infinity, which JSON cannot hold: the run exits 2 and writes nothing
+    huge = {format(b, "03b"): [(-1) ** b.bit_count() * 1.7e308, 1.0, 1.0] for b in range(8)}
+    payoffs = write_table(tmp_path / "huge.json", huge)
+    argv = ["nash", "--scan", "--grid", "3,3,3", "--payoffs", str(payoffs)]
+    assert_usage_error(argv, tmp_path, capsys, "not JSON compliant")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json"]
+
+
 class TestRemovedFlags:
     @pytest.mark.parametrize(
         "argv",
@@ -639,8 +673,11 @@ class TestRemovedFlags:
             ["nash", "--scan", "--partner-phases", "mirror"],
             ["verify", "--grid", "5,5,5"],
             PAYOFF_ARGS + ["--fixture", "table1"],
+            ["table", "--gamma", "0", "--delta", "0", "--format", "csv"],
+            ["comm", "simulate", "--gamma", "0", "--delta", "0", "--model", "pair"],
         ],
-        ids=["common", "codeword", "partner-phases", "verify-grid", "payoff-fixture"],
+        ids=["common", "codeword", "partner-phases", "verify-grid", "payoff-fixture",
+             "table-format", "model-pair"],
     )
     def test_exits_2_and_writes_nothing(self, tmp_path, capsys, argv):
         out = tmp_path / "report.json"
@@ -653,7 +690,7 @@ class TestRemovedFlags:
 
 def _readme_cli_examples() -> list[tuple[str, list[str]]]:
     """Each ``qpd3 ...`` line of the README's "Command line" block, with the
-    ``# ...`` lines right below it: the stdout the README shows for it."""
+    ``# path: value`` lines right below it: leaves of the report it prints."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     block = re.search(r"^## Command line\n.*?^```sh\n(.*?)^```", readme, re.S | re.M).group(1)
     examples = []
@@ -673,16 +710,20 @@ README_CLI_EXAMPLES = _readme_cli_examples()
 
 
 def test_readme_cli_block_found():
-    assert len(README_CLI_EXAMPLES) == 9
-    assert sum(bool(stdout) for _, stdout in README_CLI_EXAMPLES) == 3
+    assert len(README_CLI_EXAMPLES) == 8
+    assert sum(bool(leaves) for _, leaves in README_CLI_EXAMPLES) == 3
 
 
 @pytest.mark.parametrize(
-    "line,stdout", README_CLI_EXAMPLES, ids=[line for line, _ in README_CLI_EXAMPLES]
+    "line,leaves", README_CLI_EXAMPLES, ids=[line for line, _ in README_CLI_EXAMPLES]
 )
-def test_readme_cli_example(line, stdout, tmp_path, monkeypatch, capsys):
+def test_readme_cli_example(line, leaves, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(shlex.split(line)[1:]) == 0
     out = capsys.readouterr().out
-    if stdout:
-        assert out.splitlines() == stdout
+    for shown in leaves:
+        path, value = shown.split(": ", 1)
+        node = json.loads(out)  # examples with leaves print their report
+        for key in path.split("."):
+            node = node[key]
+        assert node == json.loads(value), shown

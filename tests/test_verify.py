@@ -47,18 +47,16 @@ def _bundle_with_delta(monkeypatch, delta_abs: float):
 def test_closed_form_classical_passes_at_the_tolerance(monkeypatch):
     # "equal within PAYOFF_TOL" takes in a delta of exactly PAYOFF_TOL
     doc, hard = _bundle_with_delta(monkeypatch, PAYOFF_TOL)
-    assert doc["results"]["closed_form_classical"] == {
-        "check": "closed_form_classical", "pass": True, "max_abs_delta": PAYOFF_TOL,
-    }
+    assert doc["verdicts"]["checks"]["closed_form_classical"] is True
+    assert doc["results"]["closed_form_classical"] == {"max_abs_delta": PAYOFF_TOL}
     assert hard == []
 
 
 def test_closed_form_classical_fails_past_the_tolerance(monkeypatch):
     beyond = float(np.nextafter(PAYOFF_TOL, 1))
     doc, hard = _bundle_with_delta(monkeypatch, beyond)
-    assert doc["results"]["closed_form_classical"] == {
-        "check": "closed_form_classical", "pass": False, "max_abs_delta": beyond,
-    }
+    assert doc["verdicts"]["checks"]["closed_form_classical"] is False
+    assert doc["results"]["closed_form_classical"] == {"max_abs_delta": beyond}
     assert hard == ["closed_form_classical"]
 
 
