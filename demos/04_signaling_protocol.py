@@ -12,7 +12,7 @@ import math
 
 from qpd3 import (
     CODEWORDS,
-    ObservationModel,
+    MODELS,
     decode,
     fixture_regime_tables,
     fixture_table,
@@ -22,19 +22,19 @@ from qpd3 import (
 )
 
 HALF_PI = math.pi / 2
-PAIR = ObservationModel(visible="bob-and-charlie")
+PAIR = "bob-and-charlie"
 
 
 def transmit(table, bits, common):
-    row = [c.bits for c in CODEWORDS].index(bits)
+    row = list(CODEWORDS).index(bits)
     col = table.column_index(common)
-    payoff = table.entry(row, col)
-    observed = PAIR.components(payoff)
+    payoff = table.payoffs[row, col].tolist()
+    observed = table.payoffs[row, col, MODELS[PAIR]].tolist()
     result = decode(table, common, observed, PAIR)
-    decoded = "/".join(c.bits for c in result.candidates)
+    decoded = "/".join(result.candidates)
     print(
         f"  Alice sends {bits}; payoffs (A,B,C) = "
-        f"{tuple(round(x, 4) for x in payoff.as_tuple())}; Bob & Charlie see "
+        f"{tuple(round(x, 4) for x in payoff)}; Bob & Charlie see "
         f"{tuple(round(x, 4) for x in observed)} and decode -> {decoded} "
         f"({result.bits_resolved:g} bits)"
     )
@@ -42,9 +42,9 @@ def transmit(table, bits, common):
 
 def main():
     print("Alice's codebook (bits -> unitary parameters):")
-    for cw in CODEWORDS:
-        t, a, b = cw.params.as_tuple()
-        print(f"  {cw.bits}: theta={t/math.pi:.3f}pi alpha={a/math.pi:.3f}pi beta={b/math.pi:.3f}pi")
+    for bits, params in CODEWORDS.items():
+        t, a, b = params.as_tuple()
+        print(f"  {bits}: theta={t/math.pi:.3f}pi alpha={a/math.pi:.3f}pi beta={b/math.pi:.3f}pi")
 
     print("\n--- worked example on the published symmetric-regime table ---")
     table2 = fixture_table("table2")
@@ -62,12 +62,11 @@ def main():
 
     print("\n--- information carried per regime (worst case over moves) ---")
     for tables in (oracle_regime_tables(), fixture_regime_tables()):
-        for visible in ("own", "bob-and-charlie", "full-triple"):
-            model = ObservationModel(visible=visible)
+        for model in MODELS:
             rep = info_relation_report(tables, model)
             verdict = "holds" if rep.verdicts()["relation_holds"] else "fails"
             pretty = "  ".join(f"I_{k}={v:g}" for k, v in rep.values.items())
-            print(f"  {rep.source:>9} / {visible:<15} {pretty}   {{PP=EE}}>{{PE=EP}} {verdict}")
+            print(f"  {rep.source:>9} / {model:<15} {pretty}   {{PP=EE}}>{{PE=EP}} {verdict}")
 
     print("\nEvery regime here resolves the full two bits (the one exception is")
     print("the entangled/entangled oracle table if each receiver only sees his")

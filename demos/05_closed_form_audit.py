@@ -63,11 +63,11 @@ def main():
     print("\nForensics on the published symmetric-regime protocol table:")
     fixture = fixture_table("table2")
     worst_special = worst_oracle = 0.0
-    for i, cw in enumerate(CODEWORDS):
+    for i, alice in enumerate(CODEWORDS.values()):
         for j, (tb, tc) in enumerate(COLUMNS):
-            want = fixture.entry(i, j).as_tuple()
-            special = max_entanglement_payoffs(config, cw.params, common_move(tb), common_move(tc))
-            via_oracle = expected_payoffs(config, cw.params, common_move(tb), common_move(tc))
+            want = fixture.payoffs[i, j].tolist()
+            special = max_entanglement_payoffs(config, alice, common_move(tb), common_move(tc))
+            via_oracle = expected_payoffs(config, alice, common_move(tb), common_move(tc))
             worst_special = max(
                 worst_special, max(abs(a - b) for a, b in zip(special.as_tuple(), want))
             )

@@ -42,10 +42,9 @@ from .equilibrium import (
 from .comms import (
     CODEWORDS,
     COLUMNS,
-    Codeword,
+    MODELS,
     DecodeResult,
     InfoRelationReport,
-    ObservationModel,
     ProtocolTable,
     REGIME_FIXTURES,
     common_move,
@@ -72,7 +71,7 @@ __all__ = [
     "GridSpec", "Profile", "EquilibriumReport", "FourCaseScan",
     "verify_nash", "four_case_scan",
     # comms
-    "Codeword", "CODEWORDS", "COLUMNS", "ObservationModel", "ProtocolTable",
+    "CODEWORDS", "COLUMNS", "MODELS", "ProtocolTable",
     "DecodeResult", "InfoRelationReport", "REGIME_FIXTURES", "common_move", "protocol_table",
     "fixture_table", "decode", "information_bits", "info_relation_report",
     "oracle_regime_tables", "fixture_regime_tables",

@@ -36,10 +36,9 @@ from fractions import Fraction
 from . import __version__
 from .closedform import compare_to_oracle  # unused; bench/test_smoke.py pins this binding
 from .comms import (
-    _VISIBLE,
     COLUMNS,
     CODEWORDS,
-    ObservationModel,
+    MODELS,
     ProtocolTable,
     auto_fixture,
     decode,
@@ -165,12 +164,16 @@ def load_payoff_table(path: str) -> PayoffTable:
 
 
 def atomic_write(path: str, data: str) -> None:
-    """Write a file atomically: full contents appear or nothing does."""
+    """Write a file atomically: full contents appear or nothing does.  The file
+    gets the mode a plain ``open(path, "w")`` would give it, ``0o666 & ~umask``."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qpd3-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(data)
+        umask = os.umask(0)  # the umask can only be read by setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -294,33 +297,31 @@ def cmd_nash(args) -> int:
 
 def cmd_comm_simulate(args) -> int:
     table = protocol_table(args.gamma, args.delta, _table_for(args))
-    model = ObservationModel(visible=args.model)
 
     transmissions = []
-    for cw_index, cw in enumerate(CODEWORDS):
+    for row, bits in enumerate(CODEWORDS):
         for j, col in enumerate(COLUMNS):
             if col[0] != col[1]:
                 continue  # the protocol agreement is a common move
-            payoff = table.entry(cw_index, j)
-            observed = model.components(payoff)
-            result = decode(table, col, observed, model)
+            observed = table.payoffs[row, j, MODELS[args.model]].tolist()
+            result = decode(table, col, observed, args.model)
             transmissions.append(
                 {
-                    "codeword": cw.bits,
+                    "codeword": bits,
                     "common_move": list(col),
-                    "payoffs": list(payoff.as_tuple()),
-                    "observed": list(observed),
+                    "payoffs": table.payoffs[row, j].tolist(),
+                    "observed": observed,
                     "decoded": result.to_record(),
                 }
             )
 
-    info = {name: information_bits(table, ObservationModel(visible=name)) for name in _VISIBLE}
+    info = {name: information_bits(table, name) for name in MODELS}
     doc = report_doc(
         inputs={
             "command": "comm simulate",
             "gamma": args.gamma,
             "delta": args.delta,
-            "model": model.visible,
+            "model": args.model,
         },
         results={
             "table": table.to_record(),
@@ -341,13 +342,8 @@ def cmd_comm_decode(args) -> int:
         if args.gamma is None or args.delta is None:
             raise UsageError("decode needs --fixture or both --gamma and --delta")
         table = protocol_table(args.gamma, args.delta, _table_for(args))
-    model = ObservationModel(visible=args.model)
-    result = decode(table, args.common, args.observed, model)
-
-    alice_payoffs = {}
-    col = table.column_index(args.common)
-    for cw in result.candidates:
-        alice_payoffs[cw.bits] = table.entry(CODEWORDS.index(cw), col).alice
+    result = decode(table, args.common, args.observed, args.model)
+    alice = dict(zip(CODEWORDS, table.payoffs[:, table.column_index(args.common), 0].tolist()))
 
     doc = report_doc(
         inputs={
@@ -355,11 +351,11 @@ def cmd_comm_decode(args) -> int:
             "table": table.label,
             "common": list(args.common),
             "observed": list(args.observed),
-            "model": model.visible,
+            "model": args.model,
         },
         results={
             "decoded": result.to_record(),
-            "alice_payoff_by_candidate": alice_payoffs,
+            "alice_payoff_by_candidate": {bits: alice[bits] for bits in result.candidates},
         },
         verdicts={"unique": len(result.candidates) == 1},
     )
@@ -442,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = comm_sub.add_parser("simulate", help="run the protocol over a config")
     ps.add_argument("--gamma", required=True, type=parse_angle)
     ps.add_argument("--delta", required=True, type=parse_angle)
-    ps.add_argument("--model", choices=tuple(_VISIBLE), default="bob-and-charlie")
+    ps.add_argument("--model", choices=tuple(MODELS), default="bob-and-charlie")
     _add_payoff_source(ps)
     _add_out(ps)
     ps.set_defaults(func=cmd_comm_simulate)
@@ -453,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--delta", type=parse_angle)
     pd.add_argument("--common", required=True, type=parse_pair, metavar="T,T")
     pd.add_argument("--observed", required=True, type=parse_observed, metavar="P[,P[,P]]")
-    pd.add_argument("--model", choices=tuple(_VISIBLE), default="bob-and-charlie")
+    pd.add_argument("--model", choices=tuple(MODELS), default="bob-and-charlie")
     _add_payoff_source(pd)
     _add_out(pd)
     pd.set_defaults(func=cmd_comm_decode)

@@ -6,15 +6,20 @@ beta = pi/2 and to theta in {0, pi}, and agree beforehand to play a common
 move.  After the arbiter announces payoffs, they look their observed payoffs
 up in the protocol table, one ``(4, 4, 3)`` array of payoffs by codeword,
 move-pair column and player, to recover Alice's codeword: dense-coding-like
-signaling where the strategy itself is the carrier.  Decoding, the
-information metric and the fixture diff read that array through one rule,
-``_matches``: an observation matches an entry when each visible payoff is
-within ``PAYOFF_TOL``.
+signaling where the strategy itself is the carrier.
+
+The layer is plain data.  ``CODEWORDS`` maps each two-bit string to Alice's
+move, in table row order; ``MODELS`` maps each observation model's name to
+the players whose payoffs that decoding party sees; a table entry is
+``table.payoffs[row, col]``.  Decoding, the information metric and the
+fixture diff read the array through one rule, ``_matches``: an observation
+matches an entry when each visible payoff is within ``PAYOFF_TOL``.
 
 Tables come in two provenances: ``oracle`` tables computed by the trace
-rule, and ``published`` fixtures reproducing the corresponding printed
-reference tables digit for digit (including their internal inconsistencies,
-which the comparison reports surface rather than repair).
+rule at given angles, and ``published`` fixtures, which have no angles and
+reproduce the corresponding printed reference tables digit for digit
+(including their internal inconsistencies, which the comparison reports
+surface rather than repair).
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from .game import (
     REGIMES,
     GameConfig,
     PayoffTable,
-    PayoffTriple,
     StrategyParams,
     outcome_probabilities,
 )
@@ -51,44 +55,27 @@ def common_move(theta: float) -> StrategyParams:
     return StrategyParams(theta, COMMON_ALPHA, COMMON_BETA)
 
 
-@dataclass(frozen=True)
-class Codeword:
-    """One of Alice's four agreed moves and the two bits it encodes."""
+#: Alice's four agreed moves by the two bits each encodes, in table row order.
+CODEWORDS = {
+    "00": StrategyParams(0.0, 0.0, 0.0),
+    "01": StrategyParams(math.pi / 3, math.pi / 2, math.pi / 2),
+    "10": StrategyParams(math.pi / 2, math.pi / 2, math.pi / 2),
+    "11": StrategyParams(math.pi, math.pi, math.pi),
+}
 
-    bits: str
-    params: StrategyParams
-
-
-CODEWORDS = (
-    Codeword("00", StrategyParams(0.0, 0.0, 0.0)),
-    Codeword("01", StrategyParams(math.pi / 3, math.pi / 2, math.pi / 2)),
-    Codeword("10", StrategyParams(math.pi / 2, math.pi / 2, math.pi / 2)),
-    Codeword("11", StrategyParams(math.pi, math.pi, math.pi)),
-)
-
-#: Player indices each ``ObservationModel.visible`` name shows.
-_VISIBLE = {"own": (1,), "bob-and-charlie": (1, 2), "full-triple": (0, 1, 2)}
+#: Observation models: what a decoding party sees of the announced payoffs,
+#: as the player indices (0 Alice, 1 Bob, 2 Charlie) whose payoffs it reads.
+#: ``"own"`` is the payoff of the canonical restricted observer (Bob),
+#: ``"bob-and-charlie"`` the pair both restricted players pool, and
+#: ``"full-triple"`` all three values.
+MODELS = {"own": (1,), "bob-and-charlie": (1, 2), "full-triple": (0, 1, 2)}
 
 
-@dataclass(frozen=True)
-class ObservationModel:
-    """What a decoding party sees of the announced payoffs.
-
-    ``visible`` picks the payoff components used for matching: ``"own"`` is
-    the single payoff of the canonical restricted observer (Bob),
-    ``"bob-and-charlie"`` the pair both restricted players pool, and
-    ``"full-triple"`` all three values.  An observation matches a payoff
-    triple when each visible component lies within ``PAYOFF_TOL`` of it.
-    """
-
-    visible: str = "bob-and-charlie"
-
-    def __post_init__(self):
-        if self.visible not in _VISIBLE:
-            raise ValueError(f"visible must be one of {tuple(_VISIBLE)}, got {self.visible!r}")
-
-    def components(self, triple: PayoffTriple) -> tuple[float, ...]:
-        return tuple(triple[k] for k in _VISIBLE[self.visible])
+def _visible(model: str) -> tuple[int, ...]:
+    """The player indices ``model`` names, or a ``ValueError`` naming the choices."""
+    if model not in MODELS:
+        raise ValueError(f"model must be one of {tuple(MODELS)}, got {model!r}")
+    return MODELS[model]
 
 
 def _matches(entries: np.ndarray, observed) -> np.ndarray:
@@ -103,26 +90,24 @@ class ProtocolTable:
     """4x4 payoff table: codeword rows by (theta_B, theta_C) columns.
 
     ``payoffs[codeword, column, player]`` is a read-only ``(4, 4, 3)`` copy
-    of the array the table is built from.
+    of the array the table is built from.  A published fixture has no angles.
     """
 
     label: str
-    provenance: str  # "oracle" | "published"
     gamma: float | None
     delta: float | None
     payoffs: np.ndarray
 
     def __post_init__(self):
-        if self.provenance not in ("oracle", "published"):
-            raise ValueError("provenance must be 'oracle' or 'published'")
         payoffs = np.array(self.payoffs, dtype=float)
         if payoffs.shape != (4, 4, 3):
             raise ValueError(f"protocol table must have shape (4, 4, 3), got {payoffs.shape}")
         payoffs.flags.writeable = False
         object.__setattr__(self, "payoffs", payoffs)
 
-    def entry(self, row: int, col: int) -> PayoffTriple:
-        return PayoffTriple(*self.payoffs[row, col].tolist())
+    @property
+    def provenance(self) -> str:
+        return "published" if self.gamma is None else "oracle"
 
     @staticmethod
     def column_index(move_pair: tuple[float, float]) -> int:
@@ -140,11 +125,11 @@ class ProtocolTable:
             "columns": [list(c) for c in COLUMNS],
             "rows": [
                 {
-                    "codeword": cw.bits,
-                    "params": list(cw.params.as_tuple()),
+                    "codeword": bits,
+                    "params": list(params.as_tuple()),
                     "payoffs": row.tolist(),
                 }
-                for cw, row in zip(CODEWORDS, self.payoffs)
+                for (bits, params), row in zip(CODEWORDS.items(), self.payoffs)
             ],
         }
 
@@ -153,12 +138,12 @@ class ProtocolTable:
 class DecodeResult:
     """Codewords consistent with an observed payoff, and the bits that pins down."""
 
-    candidates: tuple[Codeword, ...]
+    candidates: tuple[str, ...]
     bits_resolved: float
 
     def to_record(self) -> dict:
         return {
-            "candidates": [c.bits for c in self.candidates],
+            "candidates": list(self.candidates),
             "bits_resolved": self.bits_resolved,
         }
 
@@ -172,7 +157,7 @@ def _oracle_tables(angles, table: PayoffTable) -> list[ProtocolTable]:
     angles = list(angles)
     # (16, player, (theta, alpha, beta)), codeword-major
     profiles = np.empty((len(CODEWORDS), len(COLUMNS), 3, 3))
-    profiles[:, :, 0] = np.array([cw.params.as_tuple() for cw in CODEWORDS])[:, None]
+    profiles[:, :, 0] = np.array([p.as_tuple() for p in CODEWORDS.values()])[:, None]
     profiles[:, :, 1:, 0] = COLUMNS
     profiles[:, :, 1:, 1:] = COMMON_ALPHA, COMMON_BETA
     profiles = profiles.reshape(-1, 3, 3)
@@ -184,7 +169,6 @@ def _oracle_tables(angles, table: PayoffTable) -> list[ProtocolTable]:
     return [
         ProtocolTable(
             label=f"oracle(gamma={gamma:.6g}, delta={delta:.6g})",
-            provenance="oracle",
             gamma=gamma,
             delta=delta,
             payoffs=entries,
@@ -267,13 +251,7 @@ def fixture_table(table_id: str) -> ProtocolTable:
     """
     if table_id not in _FIXTURES:
         raise ValueError(f"unknown fixture {table_id!r}; expected 'table2' or 'table3'")
-    return ProtocolTable(
-        label=table_id,
-        provenance="published",
-        gamma=None,
-        delta=None,
-        payoffs=_FIXTURES[table_id],
-    )
+    return ProtocolTable(label=table_id, gamma=None, delta=None, payoffs=_FIXTURES[table_id])
 
 
 def auto_fixture(gamma: float, delta: float, table: PayoffTable) -> str | None:
@@ -291,12 +269,12 @@ def fixture_diff(oracle: ProtocolTable, fixture: ProtocolTable) -> tuple[list, l
     deltas = oracle.payoffs - fixture.payoffs
     compared = []
     discrepancies = []
-    for i, cw in enumerate(CODEWORDS):
+    for i, bits in enumerate(CODEWORDS):
         for j, col in enumerate(COLUMNS):
             delta = deltas[i, j].tolist()
             compared.append(
                 {
-                    "codeword": cw.bits,
+                    "codeword": bits,
                     "column": list(col),
                     "oracle": oracle.payoffs[i, j].tolist(),
                     "published": fixture.payoffs[i, j].tolist(),
@@ -307,7 +285,7 @@ def fixture_diff(oracle: ProtocolTable, fixture: ProtocolTable) -> tuple[list, l
                 discrepancies.append(
                     {
                         "what": f"oracle vs {fixture.label}",
-                        "codeword": cw.bits,
+                        "codeword": bits,
                         "column": list(col),
                         "delta": delta,
                     }
@@ -319,28 +297,28 @@ def decode(
     table: ProtocolTable,
     common_move_pair: tuple[float, float],
     observed: tuple[float, ...],
-    model: ObservationModel = ObservationModel(),
+    model: str = "bob-and-charlie",
 ) -> DecodeResult:
     """Recover Alice's codeword candidates from observed payoffs.
 
-    ``observed`` must carry as many components as the model makes visible.
+    ``observed`` must carry as many components as ``MODELS[model]`` names.
 
     Raises:
-        ValueError: if an observed payoff is not finite, or if the observed
-            payoffs match no row of the column; the table and the
-            observation are inconsistent.
+        ValueError: if ``model`` is not a key of ``MODELS``, if an observed
+            payoff is not finite, or if the observed payoffs match no row of
+            the column; the table and the observation are inconsistent.
     """
+    visible = _visible(model)
     col = table.column_index(common_move_pair)
-    visible = _VISIBLE[model.visible]
     if len(observed) != len(visible):
         raise ValueError(
-            f"model {model.visible!r} needs {len(visible)} observed component(s), "
+            f"model {model!r} needs {len(visible)} observed component(s), "
             f"got {len(observed)}"
         )
     if not np.isfinite(observed).all():
         raise ValueError(f"observed payoffs {observed!r} must be finite")
     hits = _matches(table.payoffs[:, col, visible], observed)
-    candidates = tuple(cw for cw, hit in zip(CODEWORDS, hits) if hit)
+    candidates = tuple(bits for bits, hit in zip(CODEWORDS, hits) if hit)
     if not candidates:
         raise ValueError(
             f"observed payoffs {observed!r} match no codeword in column {COLUMNS[col]}"
@@ -351,7 +329,7 @@ def decode(
     )
 
 
-def information_bits(table: ProtocolTable, model: ObservationModel = ObservationModel()) -> float:
+def information_bits(table: ProtocolTable, model: str = "bob-and-charlie") -> float:
     """Bits about Alice's codeword recoverable in the worst case.
 
     In each column, a codeword whose entry matches ``k`` of the column's
@@ -360,7 +338,7 @@ def information_bits(table: ProtocolTable, model: ObservationModel = Observation
     and Charlie commit to their move before Alice's choice is revealed.  2.0
     means every column separates all four codewords.
     """
-    seen = table.payoffs[..., _VISIBLE[model.visible]]
+    seen = table.payoffs[..., _visible(model)]
     # match[row, other, column]: the two rows' entries match in that column
     match = _matches(seen[:, None], seen[None, :])
     bits = 2.0 - np.log2(match.sum(axis=1))
@@ -377,7 +355,7 @@ class InfoRelationReport:
     """
 
     source: str  # "oracle" | "published"
-    model: ObservationModel
+    model: str
     values: dict[str, float]
 
     def verdicts(self) -> dict:
@@ -398,7 +376,7 @@ class InfoRelationReport:
             {
                 "what": "information relation {PP=EE} > {PE=EP}",
                 "source": self.source,
-                "model": self.model.visible,
+                "model": self.model,
                 "values": dict(self.values),
             }
         ]
@@ -406,14 +384,14 @@ class InfoRelationReport:
     def to_record(self) -> dict:
         return {
             "source": self.source,
-            "model": self.model.visible,
+            "model": self.model,
             "values": dict(self.values),
         }
 
 
 def info_relation_report(
     tables: dict[str, ProtocolTable],
-    model: ObservationModel = ObservationModel(),
+    model: str = "bob-and-charlie",
 ) -> InfoRelationReport:
     """Information metric for the four regime tables plus relation verdicts.
 

@@ -122,9 +122,6 @@ class PayoffTriple:
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.alice, self.bob, self.charlie)
 
-    def __getitem__(self, k: int) -> float:
-        return self.as_tuple()[k]
-
 
 @dataclass(frozen=True)
 class PayoffTable:

@@ -1,10 +1,11 @@
 import math
+import struct
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from qpd3 import CODEWORDS, GameConfig, PayoffTriple, StrategyParams
+from qpd3 import GameConfig, PayoffTriple, StrategyParams
 from qpd3.game import PAYOFF_TOL
 
 
@@ -123,37 +124,91 @@ PRINTED_TO_PACKAGE_COL = {0: 0, 1: 2, 2: 1, 3: 3}
 
 # Reference decoder and information metric: the nested loops over table
 # cells that ``qpd3.comms`` replaced by array reads, kept to pin its matching
-# rule.  Visible components are picked by attribute name, independently of
-# the package's player-index map.
-_REFERENCE_VISIBLE = {
+# rule.  Each entry is read from ``table.payoffs`` into a triple keyed by
+# player name, and visible components are picked by those names,
+# independently of the package's ``MODELS`` map; row ``r`` is codeword
+# ``f"{r:02b}"``, independently of ``CODEWORDS``.
+_REFERENCE_SEEN = {
     "own": ("bob",),
     "bob-and-charlie": ("bob", "charlie"),
     "full-triple": ("alice", "bob", "charlie"),
 }
 
 
-def _reference_matches(model, triple, observed) -> bool:
-    seen = (getattr(triple, name) for name in _REFERENCE_VISIBLE[model.visible])
+def _reference_entry(table, row: int, col: int) -> dict[str, float]:
+    return dict(zip(("alice", "bob", "charlie"), table.payoffs[row, col].tolist()))
+
+
+def _reference_matches(model: str, entry: dict, observed) -> bool:
+    seen = (entry[name] for name in _REFERENCE_SEEN[model])
     return all(abs(x - y) <= PAYOFF_TOL for x, y in zip(seen, observed))
 
 
-def reference_decode(table, col: int, observed, model) -> tuple[str, ...]:
+def reference_decode(table, col: int, observed, model: str) -> tuple[str, ...]:
     """Bits of every codeword whose entry in column ``col`` matches ``observed``."""
     return tuple(
-        cw.bits
-        for row, cw in enumerate(CODEWORDS)
-        if _reference_matches(model, table.entry(row, col), observed)
+        f"{row:02b}"
+        for row in range(4)
+        if _reference_matches(model, _reference_entry(table, row, col), observed)
     )
 
 
-def reference_information_bits(table, model) -> float:
+def reference_information_bits(table, model: str) -> float:
     column_bits = []
     for col in range(4):
-        entries = [table.entry(row, col) for row in range(4)]
+        entries = [_reference_entry(table, row, col) for row in range(4)]
         total = 0.0
         for entry in entries:
-            observed = tuple(getattr(entry, name) for name in _REFERENCE_VISIBLE[model.visible])
+            observed = tuple(entry[name] for name in _REFERENCE_SEEN[model])
             matches = sum(_reference_matches(model, other, observed) for other in entries)
             total += 2.0 - math.log2(matches)
         column_bits.append(total / 4.0)
     return min(column_bits)
+
+
+def _leaves(node, path=""):
+    """``(path, value)`` for every leaf of a JSON tree, keys joined by ``/``;
+    an empty object or array is a leaf too."""
+    if isinstance(node, (dict, list)) and node:
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _leaves(child, f"{path}/{key}" if path else str(key))
+    else:
+        yield path, node
+
+
+def _ulp_index(x: float) -> int:
+    """``x``'s place in the ordered doubles: adjacent doubles differ by 1."""
+    (bits,) = struct.unpack("<q", struct.pack("<d", x))
+    return bits if bits >= 0 else -(2**63) - bits
+
+
+def leaf_diff(old, new) -> dict:
+    """What changed from one JSON report tree to another, leaf by leaf.
+
+    ``added`` and ``removed`` list leaf paths (``"verdicts/checks/pp_nash"``).
+    ``changed`` maps each other path whose value differs to ``[old, new]``:
+    strings, booleans, integers, nulls and changes of type.  ``moved`` holds,
+    per top-level section, the count of float leaves whose value moved and
+    the largest ``|delta|`` and ulp distance among them.  Equal trees give ``{}``.
+    """
+    before, after = dict(_leaves(old)), dict(_leaves(new))
+    changed, moved = {}, {}
+    for path in sorted(before.keys() & after.keys()):
+        x, y = before[path], after[path]
+        if type(x) is float and type(y) is float:
+            if repr(x) != repr(y):
+                section = moved.setdefault(
+                    path.split("/")[0], {"floats": 0, "max_abs_delta": 0.0, "max_ulps": 0}
+                )
+                section["floats"] += 1
+                section["max_abs_delta"] = max(section["max_abs_delta"], abs(x - y))
+                section["max_ulps"] = max(section["max_ulps"], abs(_ulp_index(x) - _ulp_index(y)))
+        elif type(x) is not type(y) or x != y:
+            changed[path] = [x, y]
+    diff = {
+        "added": sorted(after.keys() - before.keys()),
+        "removed": sorted(before.keys() - after.keys()),
+        "changed": changed,
+        "moved": moved,
+    }
+    return {key: value for key, value in diff.items() if value}

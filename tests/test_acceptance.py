@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from qpd3 import (
     DEFAULT_PAYOFF_TABLE,
     GameConfig,
     GridSpec,
-    ObservationModel,
+    MODELS,
     Profile,
     StrategyParams,
     compare_to_oracle,
@@ -38,7 +39,7 @@ from qpd3 import (
 )
 from qpd3.cli import build_verify_bundle, main, render_json
 
-from conftest import PRINTED_TABLE2, PRINTED_TABLE3, PRINTED_TO_PACKAGE_COL
+from conftest import PRINTED_TABLE2, PRINTED_TABLE3, PRINTED_TO_PACKAGE_COL, leaf_diff
 
 HALF_PI = math.pi / 2
 
@@ -215,16 +216,15 @@ def test_criterion_07_closed_form_report():
 
 
 def test_criterion_08_signaling_worked_examples():
-    pair = ObservationModel(visible="bob-and-charlie")
     table2 = fixture_table("table2")
 
-    first = decode(table2, (0.0, 0.0), (2.0, 2.0), pair)
-    assert [c.bits for c in first.candidates] == ["11"]
-    assert table2.entry(3, 0).alice == 5.0
+    first = decode(table2, (0.0, 0.0), (2.0, 2.0), "bob-and-charlie")
+    assert first.candidates == ("11",)
+    assert table2.payoffs[3, 0, 0] == 5.0
 
-    second = decode(table2, (math.pi, math.pi), (4.0, 4.0), pair)
-    assert [c.bits for c in second.candidates] == ["00"]
-    assert table2.entry(0, 3).alice == 0.0
+    second = decode(table2, (math.pi, math.pi), (4.0, 4.0), "bob-and-charlie")
+    assert second.candidates == ("00",)
+    assert table2.payoffs[0, 3, 0] == 0.0
 
     # each printed table carries 16 triples and serves two regimes, so the
     # four regime fixtures expose 64 triples in total; check them all
@@ -239,7 +239,7 @@ def test_criterion_08_signaling_worked_examples():
             for printed_col in range(4):
                 j = PRINTED_TO_PACKAGE_COL[printed_col]
                 want = tuple(float(x) for x in printed[i][printed_col])
-                assert fixture.entry(i, j).as_tuple() == want
+                assert tuple(fixture.payoffs[i, j].tolist()) == want
                 checked += 1
     assert checked == 64
     report(
@@ -250,20 +250,17 @@ def test_criterion_08_signaling_worked_examples():
 
 
 def test_criterion_09_information_relation_verdicts():
-    table2_full = information_bits(
-        fixture_table("table2"), ObservationModel(visible="full-triple")
-    )
+    table2_full = information_bits(fixture_table("table2"), "full-triple")
     assert table2_full == 2.0
 
     lines = []
-    for visible in ("own", "bob-and-charlie", "full-triple"):
-        model = ObservationModel(visible=visible)
+    for model in MODELS:
         for tables in (oracle_regime_tables(), fixture_regime_tables()):
             rep = info_relation_report(tables, model)
             verdict = rep.verdicts()
             values = ", ".join(f"{k}={v:g}" for k, v in rep.values.items())
             lines.append(
-                f"    {rep.source}/{visible}: {values} -> relation "
+                f"    {rep.source}/{model}: {values} -> relation "
                 f"{'holds' if verdict['relation_holds'] else 'FAILS (documented)'}"
             )
     report(
@@ -296,6 +293,10 @@ BUNDLE_SHA256 = "fa0f62c4cd088533cfa2d65b56ac866a07c65b4058704dd99dc00ac855f6dc4
 #: sha256 of the ``qpd3 nash --scan`` report's skeleton, pinned the same way.
 SCAN_SKELETON_SHA256 = "9a92ce31d1d29c3cc1d283cc0b2e645bb0b7ff26daf9d974d1d19c0b51e3f691"
 
+#: The rendered seed-1729 bundle whose bytes ``BUNDLE_SHA256`` pins; re-pinning
+#: means regenerating it with ``qpd3 verify --out tests/data/bundle_1729.json``.
+GOLDEN_BUNDLE = Path(__file__).parent / "data" / "bundle_1729.json"
+
 
 def test_criterion_10_verify_determinism():
     first, hard1 = build_verify_bundle(seed=1729)
@@ -304,6 +305,11 @@ def test_criterion_10_verify_determinism():
     bytes1 = render_json(first).encode()
     bytes2 = render_json(second).encode()
     assert bytes1 == bytes2
+    # against the golden file first, so that a failure names the leaves that
+    # moved and by how much, not only that a sha differs
+    golden = GOLDEN_BUNDLE.read_bytes()
+    assert leaf_diff(json.loads(golden), json.loads(bytes1)) == {}
+    assert hashlib.sha256(golden).hexdigest() == BUNDLE_SHA256
     assert hashlib.sha256(bytes1).hexdigest() == BUNDLE_SHA256
     # also guard that the bundle actually round-trips as a JSON document
     doc = json.loads(bytes1)

@@ -3,8 +3,10 @@ import ast
 import inspect
 import json
 import math
+import os
 import re
 import shlex
+import stat
 from pathlib import Path
 from unittest import mock
 
@@ -403,6 +405,22 @@ class TestAtomicWrite:
         atomic_write(str(target), "hello\n")
         assert target.read_text() == "hello\n"
         assert list(tmp_path.iterdir()) == [target]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+    def test_report_gets_the_plain_write_mode(self, tmp_path, umask):
+        # --out gives a report the mode open(path, "w") would, 0o666 & ~umask,
+        # both new and over an existing file of another mode
+        fresh, existing = tmp_path / "fresh.json", tmp_path / "existing.json"
+        existing.write_text("old\n")
+        existing.chmod(0o600 if umask == 0o022 else 0o644)
+        previous = os.umask(umask)
+        try:
+            for out in (fresh, existing):
+                assert main(["table", "--gamma", "0", "--delta", "0", "--out", str(out)]) == 0
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(fresh.stat().st_mode) == 0o666 & ~umask
+        assert stat.S_IMODE(existing.stat().st_mode) == 0o666 & ~umask
 
     def test_missing_directory_exits_with_message(self, tmp_path, capsys):
         # the message names --out, not the temporary file beside it, whose

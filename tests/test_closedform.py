@@ -119,15 +119,11 @@ class TestMaxEntanglementForm:
 
         config = GameConfig(HALF_PI, HALF_PI)
         fixture = fixture_table("table2")
-        for i, cw in enumerate(CODEWORDS):
+        for i, alice in enumerate(CODEWORDS.values()):
             for j, (tb, tc) in enumerate(COLUMNS):
-                got = max_entanglement_payoffs(
-                    config, cw.params, common_move(tb), common_move(tc)
-                )
-                want = fixture.entry(i, j)
-                assert max(
-                    abs(a - b) for a, b in zip(got.as_tuple(), want.as_tuple())
-                ) < 1e-12
+                got = max_entanglement_payoffs(config, alice, common_move(tb), common_move(tc))
+                want = fixture.payoffs[i, j]
+                assert max(abs(a - b) for a, b in zip(got.as_tuple(), want)) < 1e-12
 
 
 class TestCompareToOracle:

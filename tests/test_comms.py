@@ -11,7 +11,7 @@ from qpd3 import (
     REGIMES,
     DEFAULT_PAYOFF_TABLE,
     GameConfig,
-    ObservationModel,
+    MODELS,
     PayoffTable,
     common_move,
     decode,
@@ -37,9 +37,9 @@ from conftest import (
 
 HALF_PI = math.pi / 2
 
-FULL = ObservationModel(visible="full-triple")
-PAIR = ObservationModel(visible="bob-and-charlie")
-OWN = ObservationModel(visible="own")
+FULL = "full-triple"
+PAIR = "bob-and-charlie"
+OWN = "own"
 
 
 class TestCodewords:
@@ -50,7 +50,7 @@ class TestCodewords:
             "10": (HALF_PI, HALF_PI, HALF_PI),
             "11": (math.pi, math.pi, math.pi),
         }
-        assert {c.bits: c.params.as_tuple() for c in CODEWORDS} == want
+        assert {bits: params.as_tuple() for bits, params in CODEWORDS.items()} == want
 
     def test_common_move_convention(self):
         move = common_move(math.pi)
@@ -68,34 +68,39 @@ class TestFixtureIngestion:
                 j = PRINTED_TO_PACKAGE_COL[printed_col]
                 want = tuple(float(x) for x in printed[i][printed_col])
                 # all printed values are dyadic rationals: exact as floats
-                assert fixture.entry(i, j).as_tuple() == want
+                assert tuple(fixture.payoffs[i, j].tolist()) == want
 
     def test_provenance(self):
         assert fixture_table("table2").provenance == "published"
         with pytest.raises(ValueError):
             fixture_table("table9")
 
+    def test_provenance_follows_the_angles(self):
+        # a table with angles was computed at them; a printed fixture has none
+        assert protocol_table(0.3, 0.9).provenance == "oracle"
+        assert ProtocolTable("t", 0.0, 0.0, np.ones((4, 4, 3))).provenance == "oracle"
+        assert ProtocolTable("t", None, None, np.ones((4, 4, 3))).provenance == "published"
+
 
 class TestProtocolTable:
     def test_classical_pure_rows(self):
         table = protocol_table(0.0, 0.0)
-        assert table.entry(0, 0).as_tuple() == pytest.approx((3, 3, 3), abs=1e-12)
-        assert table.entry(3, 0).as_tuple() == pytest.approx((5, 2, 2), abs=1e-12)
-        assert table.entry(3, 3).as_tuple() == pytest.approx((1, 1, 1), abs=1e-12)
+        assert table.payoffs[0, 0].tolist() == pytest.approx([3, 3, 3], abs=1e-12)
+        assert table.payoffs[3, 0].tolist() == pytest.approx([5, 2, 2], abs=1e-12)
+        assert table.payoffs[3, 3].tolist() == pytest.approx([1, 1, 1], abs=1e-12)
 
     def test_classical_mixture_row(self):
         # Alice's pi/3 codeword defects with probability 1/4:
         # 3/4*(3,3,3) + 1/4*(5,2,2)
         table = protocol_table(0.0, 0.0)
-        assert table.entry(1, 0).as_tuple() == pytest.approx((3.5, 2.75, 2.75), abs=1e-12)
+        assert table.payoffs[1, 0].tolist() == pytest.approx([3.5, 2.75, 2.75], abs=1e-12)
 
     def test_classical_mixture_disagrees_with_published_row(self):
         # the published symmetric-regime table prints (3/4, 7/4, 7/4) here;
         # that cell is not reproducible as a classical mixture and the
         # disagreement is a documented discrepancy, not a bug to "fix"
-        oracle_value = protocol_table(0.0, 0.0).entry(1, 0).as_tuple()
-        fixture_value = fixture_table("table2").entry(1, 0).as_tuple()
-        assert max(abs(a - b) for a, b in zip(oracle_value, fixture_value)) > 1.0
+        delta = protocol_table(0.0, 0.0).payoffs[1, 0] - fixture_table("table2").payoffs[1, 0]
+        assert np.abs(delta).max() > 1.0
 
     def test_mixed_regime_tables_match_published_exactly(self):
         # the mixed-regime published table is fully consistent with the trace
@@ -103,44 +108,32 @@ class TestProtocolTable:
         fixture = fixture_table("table3")
         for gamma, delta in ((0.0, HALF_PI), (HALF_PI, 0.0)):
             oracle = protocol_table(gamma, delta)
-            for i in range(4):
-                for j in range(4):
-                    assert oracle.entry(i, j).as_tuple() == pytest.approx(
-                        fixture.entry(i, j).as_tuple(), abs=1e-12
-                    )
+            assert np.abs(oracle.payoffs - fixture.payoffs).max() <= 1e-12
 
     def test_symmetric_regime_mismatch_cells_frozen(self):
         # oracle vs published symmetric table: the pure rows match at the
         # classical corner, the quantum-codeword rows do not
         fixture = fixture_table("table2")
         oracle = protocol_table(0.0, 0.0)
-        mismatched = {
-            (i, j)
-            for i in range(4)
-            for j in range(4)
-            if max(
-                abs(a - b)
-                for a, b in zip(oracle.entry(i, j).as_tuple(), fixture.entry(i, j).as_tuple())
-            )
-            > 1e-9
-        }
+        cells = np.argwhere(np.abs(oracle.payoffs - fixture.payoffs).max(axis=-1) > 1e-9)
+        mismatched = {tuple(cell) for cell in cells.tolist()}
         assert mismatched == {(1, j) for j in range(4)} | {(2, j) for j in range(4)}
 
     def test_spot_values_in_mixed_regime(self):
         table = protocol_table(0.0, HALF_PI)
-        assert table.entry(1, 0).as_tuple() == pytest.approx((17 / 8, 9 / 4, 9 / 4), abs=1e-12)
-        assert table.entry(1, 1).as_tuple() == pytest.approx((3, 23 / 8, 21 / 8), abs=1e-12)
-        assert table.entry(3, 0).as_tuple() == pytest.approx((5 / 2, 3, 3), abs=1e-12)
+        assert table.payoffs[1, 0].tolist() == pytest.approx([17 / 8, 9 / 4, 9 / 4], abs=1e-12)
+        assert table.payoffs[1, 1].tolist() == pytest.approx([3, 23 / 8, 21 / 8], abs=1e-12)
+        assert table.payoffs[3, 0].tolist() == pytest.approx([5 / 2, 3, 3], abs=1e-12)
 
     def test_oracle_entries_match_expected_payoffs(self):
         # the batched table against one oracle call per entry, in every regime
         for gamma, delta in [(0.3, 0.9), (1.3, 0.05), *REGIMES.values()]:
             config = GameConfig(gamma, delta)
             table = protocol_table(gamma, delta)
-            for i, cw in enumerate(CODEWORDS):
+            for i, alice in enumerate(CODEWORDS.values()):
                 for j, (tb, tc) in enumerate(COLUMNS):
-                    want = expected_payoffs(config, cw.params, common_move(tb), common_move(tc))
-                    assert table.entry(i, j).as_tuple() == want.as_tuple()
+                    want = expected_payoffs(config, alice, common_move(tb), common_move(tc))
+                    assert tuple(table.payoffs[i, j].tolist()) == want.as_tuple()
 
     @pytest.mark.parametrize("scale", [(1.0, 0.0), (2.5, -7.0)], ids=["classic", "affine"])
     def test_regime_tables_take_one_kernel_call(self, monkeypatch, scale):
@@ -168,7 +161,7 @@ class TestProtocolTable:
 
     def test_payoffs_are_a_read_only_copy(self):
         source = np.ones((4, 4, 3))
-        table = ProtocolTable("t", "oracle", 0.0, 0.0, source)
+        table = ProtocolTable("t", 0.0, 0.0, source)
         source[0, 0, 0] = 7.0
         assert table.payoffs[0, 0, 0] == 1.0
         with pytest.raises(ValueError):
@@ -179,7 +172,7 @@ class TestProtocolTable:
     @pytest.mark.parametrize("shape", [(4, 4), (4, 4, 2), (3, 4, 3), (4, 4, 3, 1)])
     def test_wrong_shape_is_rejected(self, shape):
         with pytest.raises(ValueError, match="shape"):
-            ProtocolTable("t", "oracle", 0.0, 0.0, np.ones(shape))
+            ProtocolTable("t", 0.0, 0.0, np.ones(shape))
 
     def test_column_lookup(self):
         table = fixture_table("table2")
@@ -193,13 +186,13 @@ class TestDecode:
         # Bob and Charlie play theta = 0, observe payoffs (2, 2): Alice's
         # move was the 11 codeword and she collected 5
         result = decode(fixture_table("table2"), (0.0, 0.0), (2.0, 2.0), PAIR)
-        assert [c.bits for c in result.candidates] == ["11"]
+        assert result.candidates == ("11",)
         assert result.bits_resolved == 2.0
 
     def test_worked_example_common_defect(self):
         result = decode(fixture_table("table2"), (math.pi, math.pi), (4.0, 4.0), PAIR)
-        assert [c.bits for c in result.candidates] == ["00"]
-        assert fixture_table("table2").entry(0, 3).alice == 0.0
+        assert result.candidates == ("00",)
+        assert fixture_table("table2").payoffs[0, 3, 0] == 0.0
 
     def test_row_entry_always_self_decodes(self):
         for table in (
@@ -207,22 +200,22 @@ class TestDecode:
             fixture_table("table3"),
             protocol_table(0.2, 1.1),
         ):
-            for i, cw in enumerate(CODEWORDS):
+            for i, bits in enumerate(CODEWORDS):
                 for j, col in enumerate(COLUMNS):
-                    observed = FULL.components(table.entry(i, j))
+                    observed = table.payoffs[i, j, MODELS[FULL]].tolist()
                     result = decode(table, col, observed, FULL)
-                    assert cw.bits in [c.bits for c in result.candidates]
+                    assert bits in result.candidates
 
     @pytest.mark.parametrize("shift", [6e-10, -6e-10])
     def test_entry_within_payoff_tolerance_decodes(self, shift):
         # a payoff a little off its table entry still names that entry's
         # codeword, on either side of it
         table = fixture_table("table2")
-        for i, cw in enumerate(CODEWORDS):
+        for i, bits in enumerate(CODEWORDS):
             for j, col in enumerate(COLUMNS):
-                bob, charlie = PAIR.components(table.entry(i, j))
+                bob, charlie = table.payoffs[i, j, MODELS[PAIR]].tolist()
                 result = decode(table, col, (bob + shift, charlie + shift), PAIR)
-                assert cw.bits in [c.bits for c in result.candidates]
+                assert bits in result.candidates
 
     def test_unmatched_payoff_is_an_error(self):
         with pytest.raises(ValueError):
@@ -241,10 +234,10 @@ class TestDecode:
         table = protocol_table(HALF_PI, HALF_PI)
         for i in range(4):
             for j, col in enumerate(COLUMNS):
-                entry = table.entry(i, j)
-                n_own = len(decode(table, col, OWN.components(entry), OWN).candidates)
-                n_pair = len(decode(table, col, PAIR.components(entry), PAIR).candidates)
-                n_full = len(decode(table, col, FULL.components(entry), FULL).candidates)
+                n_own, n_pair, n_full = (
+                    len(decode(table, col, table.payoffs[i, j, MODELS[m]].tolist(), m).candidates)
+                    for m in (OWN, PAIR, FULL)
+                )
                 assert n_own >= n_pair >= n_full
 
 
@@ -255,21 +248,21 @@ def _jittered_table(rng) -> ProtocolTable:
     the tolerance."""
     levels = rng.choice([0.0, 2.5], size=(4, 4, 3))
     shifts = rng.choice([-1.5, -0.5, 0.0, 0.5, 1.5], size=(4, 4, 3)) * PAYOFF_TOL
-    return ProtocolTable("jitter", "oracle", None, None, levels + shifts)
+    return ProtocolTable("jitter", None, None, levels + shifts)
 
 
 class TestMatchingRuleAgainstLoops:
     """The array decode and information metric against the nested loops they
     replaced, exactly, at entries offset within and beyond PAYOFF_TOL."""
 
-    @pytest.mark.parametrize("model", [OWN, PAIR, FULL], ids=lambda m: m.visible)
+    @pytest.mark.parametrize("model", [OWN, PAIR, FULL])
     def test_decode_candidates_equal_reference(self, model):
         rng = np.random.default_rng(808)
         for _ in range(20):
             table = _jittered_table(rng)
             for col, move_pair in enumerate(COLUMNS):
                 for row in range(4):
-                    seen = model.components(table.entry(row, col))
+                    seen = table.payoffs[row, col, MODELS[model]].tolist()
                     for shift in (0.0, 0.5, -0.5, 1.5, -1.5):
                         observed = tuple(x + shift * PAYOFF_TOL for x in seen)
                         want = reference_decode(table, col, observed, model)
@@ -278,10 +271,10 @@ class TestMatchingRuleAgainstLoops:
                                 decode(table, move_pair, observed, model)
                             continue
                         got = decode(table, move_pair, observed, model)
-                        assert tuple(c.bits for c in got.candidates) == want
+                        assert got.candidates == want
                         assert got.bits_resolved == 2.0 - math.log2(len(want))
 
-    @pytest.mark.parametrize("model", [OWN, PAIR, FULL], ids=lambda m: m.visible)
+    @pytest.mark.parametrize("model", [OWN, PAIR, FULL])
     def test_information_bits_equal_reference(self, model):
         rng = np.random.default_rng(909)
         tables = [_jittered_table(rng) for _ in range(60)]
@@ -296,18 +289,24 @@ class TestMatchingRuleAgainstLoops:
         assert len(values) > 1
 
 
-class TestObservationModel:
-    def test_component_selection(self):
-        from qpd3 import PayoffTriple
+class TestModels:
+    def test_visible_players(self):
+        assert MODELS == {"own": (1,), "bob-and-charlie": (1, 2), "full-triple": (0, 1, 2)}
 
-        triple = PayoffTriple(1.0, 2.0, 3.0)
-        assert OWN.components(triple) == (2.0,)
-        assert PAIR.components(triple) == (2.0, 3.0)
-        assert FULL.components(triple) == (1.0, 2.0, 3.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ObservationModel(visible="everything")
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda model: decode(fixture_table("table2"), (0.0, 0.0), (2.0, 2.0), model),
+            lambda model: information_bits(fixture_table("table2"), model),
+            lambda model: info_relation_report(fixture_regime_tables(), model),
+        ],
+        ids=["decode", "information_bits", "info_relation_report"],
+    )
+    def test_validation(self, call):
+        # every function that takes a model name rejects an unknown one,
+        # naming the three choices
+        with pytest.raises(ValueError, match="'own', 'bob-and-charlie', 'full-triple'"):
+            call("everything")
 
 
 class TestInformationBits:
@@ -315,9 +314,7 @@ class TestInformationBits:
         assert information_bits(fixture_table("table2"), FULL) == 2.0
 
     def test_constant_table_carries_nothing(self):
-        table = ProtocolTable(
-            label="flat", provenance="oracle", gamma=0.0, delta=0.0, payoffs=np.ones((4, 4, 3))
-        )
+        table = ProtocolTable(label="flat", gamma=0.0, delta=0.0, payoffs=np.ones((4, 4, 3)))
         assert information_bits(table, FULL) == 0.0
 
     def test_bounded(self):

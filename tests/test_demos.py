@@ -40,6 +40,6 @@ def _readme_quickstart() -> tuple[str, list[str]]:
 
 def test_readme_library_quickstart(capsys):
     code, shown = _readme_quickstart()
-    assert len(shown) == 2
+    assert len(shown) == 3
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines() == shown

@@ -67,7 +67,7 @@ def payoff_forms(player: int, trials) -> np.ndarray:
 def exact_gaps(profile: Profile, config: GameConfig) -> list[float]:
     """Best gain over all of SU(2): the top eigenvalue of each player's form."""
     played = profile.as_tuple()
-    payoff = expected_payoffs(config, *played)
+    payoff = expected_payoffs(config, *played).as_tuple()
     gaps = []
     for k in range(3):
         others = tuple(p for i, p in enumerate(played) if i != k)

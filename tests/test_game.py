@@ -1,6 +1,8 @@
 import ast
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -427,9 +429,9 @@ def test_tolerances_are_named_once():
 
 #: Every public name of the package; a new or removed export must update this.
 PUBLIC_NAMES = """
-    CODEWORDS COLUMNS Codeword ComparisonReport DEFAULT_PAYOFF_TABLE
+    CODEWORDS COLUMNS ComparisonReport DEFAULT_PAYOFF_TABLE
     DecodeResult EquilibriumReport FourCaseScan GameConfig GridSpec InfoRelationReport
-    OUTCOMES ObservationModel PayoffTable PayoffTriple Profile ProtocolTable
+    MODELS OUTCOMES PayoffTable PayoffTriple Profile ProtocolTable
     REGIMES REGIME_FIXTURES StrategyParams __version__ closed_form_payoffs
     common_move compare_to_oracle decode expected_payoffs fixture_regime_tables
     fixture_table four_case_scan info_relation_report information_bits
@@ -441,7 +443,7 @@ PUBLIC_NAMES = """
 
 def test_public_surface_is_pinned():
     assert sorted(qpd3.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 40
+    assert len(PUBLIC_NAMES) == 39
     for name in PUBLIC_NAMES:
         getattr(qpd3, name)
 
@@ -480,11 +482,15 @@ def test_every_public_name_has_a_caller():
 #: Kernel code the density-matrix reference must not borrow.
 KERNEL_NAMES = {"outcome_probabilities", "moves", "expected_payoffs", "_SIGNS", "_PLUS_FAMILY"}
 
+#: Decoder code the reference decoder and information metric must not borrow.
+DECODER_NAMES = {"MODELS", "_visible", "CODEWORDS", "_matches"}
+
 
 def test_reference_shares_no_code_with_the_kernel():
     # trace_rule_payoffs cross-checks the kernel only while it builds its own
-    # moves, state and basis; a kernel name imported or read from qpd3 in
-    # conftest would make it check the kernel against itself
+    # moves, state and basis, and reference_decode the decoder only while it
+    # picks its own visible payoffs; a kernel or decoder name imported or read
+    # from qpd3 in conftest would make it check the package against itself
     tree = ast.parse((Path(__file__).parent / "conftest.py").read_text(encoding="utf-8"))
     imported = {
         alias.name
@@ -493,4 +499,35 @@ def test_reference_shares_no_code_with_the_kernel():
         for alias in node.names
     }
     read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    assert sorted((imported | read) & KERNEL_NAMES) == []
+    read |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted((imported | read) & (KERNEL_NAMES | DECODER_NAMES)) == []
+
+
+_FAILING_GIVEN_TEST = """\
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x != x
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_given_test_does_not_abort_the_run(tmp_path):
+    # a failing @given test makes hypothesis write a patch, which imports
+    # libcst and through it mypy_extensions; its DeprecationWarning must not
+    # become, under filterwarnings = error, an INTERNALERROR (exit 3) that
+    # stops the run before the other tests report
+    (tmp_path / "test_throwaway.py").write_text(_FAILING_GIVEN_TEST, encoding="utf-8")
+    config = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         str(tmp_path / "test_throwaway.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout

@@ -1,6 +1,7 @@
 """The verification bundle as a library: no command line needed to run it."""
 
 import json
+import math
 import subprocess
 import sys
 from dataclasses import replace
@@ -14,6 +15,8 @@ import qpd3.equilibrium
 import qpd3.verify
 from qpd3.game import PAYOFF_TOL, REGIMES, PayoffTriple
 from qpd3.verify import build_verify_bundle
+
+from conftest import leaf_diff
 
 
 def test_import_loads_no_command_line():
@@ -124,3 +127,38 @@ def test_pe_ne_ep_is_a_record_in_both_reports(tmp_path, monkeypatch):
     records = _scan_discrepancies(tmp_path)
     assert records == [{"what": "PE = EP equality", "gap": 0.5}]
     assert records == _bundle_scan_discrepancies()
+
+
+class TestLeafDiff:
+    OLD = {
+        "inputs": {"seed": 1729, "model": "own"},
+        "results": {"bits": [2.0, 1.5], "ok": True, "none": []},
+        "discrepancies": [],
+    }
+
+    def test_equal_trees_have_no_diff(self):
+        assert leaf_diff(self.OLD, json.loads(json.dumps(self.OLD))) == {}
+
+    def test_every_kind_of_change_is_named(self):
+        new = json.loads(json.dumps(self.OLD))
+        new["inputs"].update(seed=7, model="full-triple")
+        new["results"].update(ok=False, bits=[math.nextafter(2.0, 3.0), 1.25, 0.5])
+        del new["results"]["none"]
+        new["discrepancies"] = [{"what": "x"}]
+        assert leaf_diff(self.OLD, new) == {
+            "added": ["discrepancies/0/what", "results/bits/2"],
+            "removed": ["discrepancies", "results/none"],
+            "changed": {
+                "inputs/model": ["own", "full-triple"],
+                "inputs/seed": [1729, 7],
+                "results/ok": [True, False],
+            },
+            # 1.5 -> 1.25 is 2**50 steps of 2**-52, the ulp in [1, 2)
+            "moved": {"results": {"floats": 2, "max_abs_delta": 0.25, "max_ulps": 2**50}},
+        }
+
+    def test_ulps_count_across_zero_and_types_are_kept(self):
+        tiny = math.ulp(0.0)
+        assert leaf_diff({"r": -tiny}, {"r": tiny})["moved"]["r"]["max_ulps"] == 2
+        assert leaf_diff({"r": -0.0}, {"r": 0.0})["moved"]["r"]["floats"] == 1
+        assert leaf_diff({"r": 2}, {"r": 2.0}) == {"changed": {"r": [2, 2.0]}}
