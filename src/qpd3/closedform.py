@@ -9,12 +9,16 @@ the four measurement-entanglement correction terms where symmetry calls for
 trace-rule oracle (`compare_to_oracle`) instead of silently correcting
 anything.  The oracle in :mod:`qpd3.game` stays canonical throughout.
 
-There are two routes to the deltas.  `compare_to_oracle` calls the oracle
-once per sample and keeps every sample as a record; the ``audit`` benchmark
-workload measures that path and its smoke test pins 1000 ``expected_payoffs``
-calls per op, so the loop stays until the benchmark is brought up to date
-(ROADMAP item 1).  `_oracle_deltas` makes one kernel call over all samples;
-the verification bundle uses it.  A test holds the two equal bit for bit.
+There are two routes to the deltas, through the two entry points of the one
+Born-rule core in :mod:`qpd3.game`.  `compare_to_oracle` calls the oracle
+(``expected_payoffs``) once per sample and keeps every sample as a record;
+each call builds the sample's validated ``StrategyParams`` and
+``GameConfig`` and runs the core on them with no second check of their
+angles.  The ``audit`` benchmark workload measures that path and its smoke
+test pins 1000 ``expected_payoffs`` calls per op, so the loop stays until
+the benchmark is brought up to date (ROADMAP item 1).  `_oracle_deltas`
+makes one ``outcome_probabilities`` call over all samples; the verification
+bundle uses it.  A test holds the two equal bit for bit.
 """
 
 from __future__ import annotations
@@ -256,7 +260,8 @@ def compare_to_oracle(sampler: Sampler, n: int, seed: int = 0) -> ComparisonRepo
     Deterministic for a fixed ``(sampler, n, seed)``; deltas are recorded, not
     judged; callers decide which regimes warrant assertions.  The sampler
     draws all ``n`` samples at once and the closed form runs once over them;
-    the oracle runs once per sample, under the classic payoff table.  That
+    the oracle runs once per sample, under the classic payoff table, on the
+    dataclasses whose constructors check the sample's angles.  That
     loop is what the ``audit`` benchmark workload measures and its smoke test
     pins, so it stays until the benchmark moves to :func:`_oracle_deltas`,
     which gives the same values in one kernel call (ROADMAP item 1).

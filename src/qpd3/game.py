@@ -12,13 +12,15 @@ payoff-table entry.  The initial state is pure and every move is unitary, so
 ``|<psi_lmn|psi_f>|^2``; the tests cross-check it against the density-matrix
 form.
 
-``outcome_probabilities`` is the one place the rule is evaluated, for a single
-profile or a batch of them; the initial state and the basis signs are built
-into it, so it is the only statement of the arbiter's basis.  ``moves`` gives
-the players' 2x2 matrices, for checks.  ``expected_payoffs`` wraps the kernel for
-one profile and is the package-wide oracle: every closed-form expression,
-protocol table and equilibrium scan elsewhere in the package is validated
-against it.
+The private core ``_born`` is the one place the rule is evaluated; the initial
+state and the basis signs are built into it, so it is the only statement of
+the arbiter's basis.  It has two entry points.  ``outcome_probabilities``
+checks angle arrays for a single profile or a batch of them, then calls it.
+``expected_payoffs`` takes one profile as dataclasses, whose constructors
+already checked every angle, and is the package-wide oracle: every
+closed-form expression, protocol table and equilibrium scan elsewhere in the
+package is validated against it.  ``moves`` gives the players' 2x2 matrices,
+for checks.
 """
 
 from __future__ import annotations
@@ -72,7 +74,19 @@ _CLASSIC_ENTRIES = {
 }
 
 
+def _is_real(value) -> bool:
+    """A real number: not a string that ``float`` would parse, nor a bool.
+
+    A plain float, which every sampler and parser passes, skips the slower
+    ABC check."""
+    return type(value) is float or (
+        isinstance(value, numbers.Real) and not isinstance(value, bool)
+    )
+
+
 def _check_finite(name: str, value: float) -> float:
+    if not _is_real(value):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
         value = float(value)
     except OverflowError:
@@ -157,7 +171,7 @@ class PayoffTable:
             if not (
                 isinstance(row, (list, tuple))
                 and len(row) == 3
-                and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in row)
+                and all(_is_real(x) for x in row)
             ):
                 raise ValueError(f"payoff row {o!r} must be a list of 3 real numbers, got {row!r}")
         return cls(tuple(tuple(mapping[o]) for o in OUTCOMES))
@@ -252,10 +266,6 @@ def outcome_probabilities(gamma, delta, pa, pb, pc) -> np.ndarray:
     flat = np.concatenate([a.ravel() for a in angles])
     if not ((0.0 <= flat) & (flat <= _ANGLE_HI)).all():
         raise ValueError("gamma and delta must lie in [0, pi/2]")
-    # (1, 1) or (N, 1) halves, so they broadcast along the 8 amplitudes of a row.
-    half = flat[:, None] / 2
-    ng = angles[0].size
-    (cos_g, cos_d), (sin_g, sin_d) = ((t[:ng], t[ng:]) for t in (np.cos(half), np.sin(half)))
     players = [np.asarray(p, dtype=float) for p in (pa, pb, pc)]
     for name, p in zip(PLAYERS, players):
         if p.ndim not in (1, 2) or p.shape[-1] != 3:
@@ -271,16 +281,26 @@ def outcome_probabilities(gamma, delta, pa, pb, pc) -> np.ndarray:
             "player angles must satisfy 0 <= theta <= pi and -pi <= alpha, beta <= pi"
         )
     na, nb = (p.size // 3 for p in players[:2])
+    return _born(flat[:, None] / 2, angles[0].size, rows, na, nb)
+
+
+def _born(half: np.ndarray, ng: int, rows: np.ndarray, na: int, nb: int) -> np.ndarray:
+    """The Born rule itself, on inputs already checked by its two callers.
+
+    ``half`` holds ``gamma / 2`` on its first ``ng`` rows and ``delta / 2``
+    on the rest, shaped ``(ng + nd, 1)`` so that each slice broadcasts along
+    the 8 amplitudes of a row.  ``rows`` stacks the three players'
+    ``(theta, alpha, beta)`` rows: Alice's ``na``, Bob's ``nb``, then
+    Charlie's.  A player with one row broadcasts against a batch of ``N``.
+    """
+    (cos_g, cos_d), (sin_g, sin_d) = ((t[:ng], t[ng:]) for t in (np.cos(half), np.sin(half)))
     u = moves(rows)
-    ua, ub, uc = (
-        part.reshape(p.shape[:-1] + (2, 2))
-        for part, p in zip((u[:na], u[na : na + nb], u[na + nb :]), players)
-    )
+    ua, ub, uc = u[:na], u[na : na + nb], u[na + nb :]
 
     def branch(j: int) -> np.ndarray:
         # U_A|j> (x) U_B|j> (x) U_C|j>, Alice on the most significant bit
-        a, b, c = ua[..., :, j], ub[..., :, j], uc[..., :, j]
-        product = a[..., :, None, None] * b[..., None, :, None] * c[..., None, None, :]
+        a, b, c = ua[:, :, j], ub[:, :, j], uc[:, :, j]
+        product = a[:, :, None, None] * b[:, None, :, None] * c[:, None, None, :]
         return product.reshape(-1, 8)
 
     # Only |000> and |111> are occupied initially.
@@ -300,9 +320,12 @@ def outcome_probabilities(gamma, delta, pa, pb, pc) -> np.ndarray:
 def expected_payoffs(
     config: GameConfig, pa: StrategyParams, pb: StrategyParams, pc: StrategyParams
 ) -> PayoffTriple:
-    """Trace-rule expected payoffs: the canonical oracle for this package."""
-    probs = outcome_probabilities(
-        config.gamma, config.delta, pa.as_tuple(), pb.as_tuple(), pc.as_tuple()
-    )
+    """Trace-rule expected payoffs: the canonical oracle for this package.
+
+    The dataclasses checked every angle when they were built, so this runs
+    the Born rule without ``outcome_probabilities``' checks of its arrays.
+    """
+    half = np.array([[config.gamma], [config.delta]]) / 2
+    probs = _born(half, 1, np.array([pa.as_tuple(), pb.as_tuple(), pc.as_tuple()]), 1, 1)
     return PayoffTriple(*config.payoffs.expected(probs)[0].tolist())
 

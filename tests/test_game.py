@@ -1,8 +1,10 @@
 import ast
+import itertools
 import math
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,8 @@ from qpd3 import (
     moves,
     outcome_probabilities,
 )
+
+from qpd3.cli import parse_angle
 
 from conftest import (
     classical_payoff,
@@ -102,6 +106,36 @@ class TestStrategyUnitary:
     def test_rejects_out_of_range(self, theta, alpha, beta):
         with pytest.raises(ValueError):
             StrategyParams(theta, alpha, beta)
+
+    @pytest.mark.parametrize(
+        "build,field",
+        [
+            (lambda: StrategyParams("1.0", 0, 0), "theta"),
+            (lambda: StrategyParams(True, 0, 0), "theta"),
+            (lambda: StrategyParams(0, np.True_, 0), "alpha"),
+            (lambda: StrategyParams(0, 0, None), "beta"),
+            (lambda: GameConfig("0.5", 0), "gamma"),
+            (lambda: GameConfig(0, False), "delta"),
+        ],
+        ids=["str-theta", "bool-theta", "numpy-bool-alpha", "none-beta", "str-gamma",
+             "bool-delta"],
+    )
+    def test_angles_must_be_real_numbers(self, build, field):
+        # expected_payoffs runs the Born rule on the dataclasses without
+        # checking their angles again, so the constructors refuse what
+        # float() would coerce, as PayoffTable.from_mapping does
+        with pytest.raises(ValueError, match=rf"^{field} must be a real number"):
+            build()
+
+    def test_real_numbers_of_every_kind_construct(self):
+        move = StrategyParams(np.float64(1.0), 1, Fraction(-1, 2))
+        assert move.as_tuple() == (1.0, 1.0, -0.5)
+        assert all(type(x) is float for x in move.as_tuple())
+        config = GameConfig(np.int64(1), np.float32(0.5))
+        assert (config.gamma, config.delta) == (1.0, 0.5)
+        # the CLI's angle parser hands the constructors plain floats
+        move = StrategyParams(*(parse_angle(text) for text in ("pi", "-pi/2", "0.25")))
+        assert move.as_tuple() == (math.pi, -math.pi / 2, 0.25)
 
 
 class TestMeasurementBasis:
@@ -268,6 +302,43 @@ class TestOutcomeProbabilities:
         got = expected_payoffs(config, *(StrategyParams(*p) for p in profile)).as_tuple()
         want = trace_rule_payoffs(config, *profile)
         assert max(abs(a - b) for a, b in zip(got, want)) < 1e-12
+
+    def test_both_entry_points_keep_the_sum_to_one_check(self, monkeypatch):
+        # the check tests the Born rule, not its input, so it lives in the
+        # core that both entry points run: moves that are not unitary trip it
+        kernel = qpd3.game.moves
+        monkeypatch.setattr(qpd3.game, "moves", lambda rows: 1.1 * kernel(rows))
+        with pytest.raises(ValueError, match="outcome probabilities sum to 1"):
+            outcome_probabilities(0.3, 0.7, *(IDENTITY,) * 3)
+        with pytest.raises(ValueError, match="outcome probabilities sum to 1"):
+            expected_payoffs(GameConfig(0.3, 0.7), *(StrategyParams(*IDENTITY),) * 3)
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            DEFAULT_PAYOFF_TABLE,
+            PayoffTable.from_mapping(
+                {o: [1.5 * b, -0.25 * b, 7.0 - b] for b, o in enumerate(OUTCOMES)}
+            ),
+        ],
+        ids=["classic", "custom"],
+    )
+    def test_entry_points_agree_bit_for_bit_at_the_edges(self, table):
+        # expected_payoffs builds the core's inputs from its dataclasses and
+        # outcome_probabilities from its arrays; at every corner of the
+        # angle box the two must hand the core the same bits
+        corners = [
+            StrategyParams(theta, alpha, beta)
+            for theta in (0.0, math.pi)
+            for alpha in (-math.pi, math.pi)
+            for beta in (-math.pi, math.pi)
+        ]
+        for gamma, delta in itertools.product((0.0, HALF_PI), repeat=2):
+            config = GameConfig(gamma, delta, table)
+            for profile in itertools.product(corners, repeat=3):
+                got = np.array(expected_payoffs(config, *profile).as_tuple())
+                probs = outcome_probabilities(gamma, delta, *(p.as_tuple() for p in profile))
+                assert got.tobytes() == table.expected(probs)[0].tobytes()
 
     def test_batched_rows_equal_single_profiles(self, rng):
         config = random_config(rng)
@@ -480,7 +551,9 @@ def test_every_public_name_has_a_caller():
 
 
 #: Kernel code the density-matrix reference must not borrow.
-KERNEL_NAMES = {"outcome_probabilities", "moves", "expected_payoffs", "_SIGNS", "_PLUS_FAMILY"}
+KERNEL_NAMES = {
+    "outcome_probabilities", "moves", "expected_payoffs", "_born", "_SIGNS", "_PLUS_FAMILY"
+}
 
 #: Decoder code the reference decoder and information metric must not borrow.
 DECODER_NAMES = {"MODELS", "_visible", "CODEWORDS", "_matches"}
@@ -501,6 +574,39 @@ def test_reference_shares_no_code_with_the_kernel():
     read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     read |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted((imported | read) & (KERNEL_NAMES | DECODER_NAMES)) == []
+
+
+def _package_uses(matches) -> set[tuple[str, str]]:
+    """``(module, top-level definition)`` of every node under ``src/qpd3`` that
+    ``matches``; code outside any definition counts as ``"<module>"``."""
+    found = set()
+    for path in sorted(Path(qpd3.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(top, "name", "<module>")
+            found |= {(path.name, owner) for node in ast.walk(top) if matches(node)}
+    return found
+
+
+def _named(node) -> str | None:
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def test_the_born_rule_lives_in_one_function():
+    # _born is the only reader of the basis signs and the only caller of
+    # moves, and only the two entry points call it: no second copy of the
+    # rule, and no path past outcome_probabilities' checks but the oracle's
+    def calls(name):
+        return lambda node: isinstance(node, ast.Call) and _named(node.func) == name
+
+    def reads_signs(node):
+        return isinstance(getattr(node, "ctx", None), ast.Load) and _named(node) == "_SIGNS"
+
+    assert _package_uses(reads_signs) == {("game.py", "_born")}
+    assert _package_uses(calls("moves")) == {("game.py", "_born")}
+    assert _package_uses(calls("_born")) == {
+        ("game.py", "outcome_probabilities"),
+        ("game.py", "expected_payoffs"),
+    }
 
 
 _FAILING_GIVEN_TEST = """\
