@@ -23,7 +23,6 @@ from qpd3 import (
     moves,
     outcome_probabilities,
 )
-
 from qpd3.cli import parse_angle
 
 from conftest import (
