@@ -37,7 +37,7 @@ def show(config, pa, pb, pc, label):
 
 def main():
     print("Base payoff table (outcome -> Alice, Bob, Charlie):")
-    for outcome, row in DEFAULT_PAYOFF_TABLE.as_mapping().items():
+    for outcome, row in zip(OUTCOMES, DEFAULT_PAYOFF_TABLE.payoffs.tolist()):
         print(f"  {outcome}: {tuple(row)}")
 
     print("\nA move is cos(theta/2) R(alpha) + sin(theta/2) P(beta); at the")
@@ -63,7 +63,7 @@ def main():
     show(entangled, DEFECT, COOPERATE, COOPERATE, "Alice defects alone")
 
     print("\nNote the last line: with full entanglement Alice's naked defection")
-    print("lands the game on outcome 100 with certainty and she collects 5,")
+    print("lands the game on outcome 100 with certainty and they collect 5,")
     print("the entangled basis rewards exactly the move the classical game")
     print("punishes cooperators for missing.")
 

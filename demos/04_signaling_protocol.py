@@ -69,7 +69,7 @@ def main():
             print(f"  {rep.source:>9} / {model:<15} {pretty}   {{PP=EE}}>{{PE=EP}} {verdict}")
 
     print("\nEvery regime here resolves the full two bits (the one exception is")
-    print("the entangled/entangled oracle table if each receiver only sees his")
+    print("the entangled/entangled oracle table if each receiver only sees their")
     print("own payoff, where one column collapses two codewords).  The claimed")
     print("strict drop in the mixed regimes does not appear in either source's")
     print("tables at default resolution; the report records that verdict")

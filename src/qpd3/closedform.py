@@ -60,7 +60,7 @@ def _closed_form(gamma, delta, params, table: PayoffTable) -> np.ndarray:
     published expression literally says, and the whole point of this
     evaluator is to measure that expression against the oracle.
     """
-    d = dict(zip(OUTCOMES, np.array(table.entries)))
+    d = dict(zip(OUTCOMES, table.payoffs))
     gamma, delta = np.reshape(gamma, (-1, 1)), np.reshape(delta, (-1, 1))
     (ta, aa, ba), (tb, ab, bb), (tc, ac, bc) = np.moveaxis(params[..., None], 0, -2)
     cg, sg = np.cos(gamma / 2) ** 2, np.sin(gamma / 2) ** 2
@@ -169,7 +169,7 @@ def max_entanglement_payoffs(
     cos2b = math.cos(2 * pa.beta)
 
     # each d[outcome] holds the three players' payoffs, so one pass yields all three
-    d = dict(zip(OUTCOMES, np.array(config.payoffs.entries)))
+    d = dict(zip(OUTCOMES, config.payoffs.payoffs))
     total = 0.5 * ca * cb * cc * (
         (d["000"] + d["111"]) + (d["000"] - d["111"]) * coupling * cos2a
     )

@@ -257,8 +257,9 @@ def fixture_table(table_id: str) -> ProtocolTable:
 def auto_fixture(gamma: float, delta: float, table: PayoffTable) -> str | None:
     """The fixture a table at a regime's angles is compared with unasked.  The fixtures
     hold the classic payoffs, so another table is compared only with a named fixture."""
+    classic = np.array_equal(table.payoffs, DEFAULT_PAYOFF_TABLE.payoffs)
     for case, (g, d) in REGIMES.items():
-        if table == DEFAULT_PAYOFF_TABLE and abs(gamma - g) <= ATOL and abs(delta - d) <= ATOL:
+        if classic and abs(gamma - g) <= ATOL and abs(delta - d) <= ATOL:
             return REGIME_FIXTURES[case]
     return None
 

@@ -28,7 +28,8 @@ measurement basis are each product (P) or maximally entangled (E).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -94,6 +95,11 @@ class GridSpec:
     beta_points: int = 17
 
     def __post_init__(self):
+        for axis in fields(self):
+            value = getattr(self, axis.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{axis.name} must be an integer, got {value!r}")
+            object.__setattr__(self, axis.name, int(value))  # a numpy int would wrap below
         if min(self.theta_points, self.alpha_points, self.beta_points) < 2:
             raise ValueError("every grid axis needs at least 2 points")
         # Anchors add at most one point each, so this bounds size() without
@@ -250,7 +256,7 @@ def _payoff_forms(
     err = float(np.linalg.norm(forms.sum(axis=3) - np.eye(4), 2, axis=(1, 2)).max())
     if err > ATOL:
         raise ValueError(f"outcome forms sum to the identity +- {err!r}, beyond {ATOL}")
-    return forms @ table.column(player)
+    return forms @ table.payoffs[:, player]
 
 
 def _certify(

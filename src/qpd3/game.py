@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,27 +137,25 @@ class PayoffTriple:
         return (self.alice, self.bob, self.charlie)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PayoffTable:
-    """Payoff triples for the 8 classical outcomes, keyed by ``lmn`` labels."""
+    """Payoff triples for the 8 classical outcomes: ``payoffs[outcome, player]``.
 
-    entries: tuple[tuple[float, float, float], ...]
-    # Row k holds player k's 8 payoffs: read-only, C-contiguous, built once.
-    _columns: np.ndarray = field(init=False, repr=False, compare=False)
+    A read-only ``(8, 3)`` array in ``OUTCOMES`` order, built from 8 rows of 3
+    real, finite numbers; ``payoffs.T`` is C-contiguous, as ``expected`` reads it."""
+
+    payoffs: np.ndarray
 
     def __post_init__(self):
-        if len(self.entries) != len(OUTCOMES):
+        if len(self.payoffs) != len(OUTCOMES):
             raise ValueError(f"payoff table needs exactly {len(OUTCOMES)} outcome rows")
-        clean = tuple(
-            tuple(_check_finite(f"payoff[{OUTCOMES[i]!r}][{k}]", x) for k, x in enumerate(row))
-            for i, row in enumerate(self.entries)
-        )
-        if any(len(row) != 3 for row in clean):
-            raise ValueError("each outcome row must hold exactly 3 payoffs")
-        object.__setattr__(self, "entries", clean)
-        columns = np.ascontiguousarray(np.array(clean, dtype=float).T)
+        columns = np.empty((3, len(OUTCOMES)))
+        for j, (o, row) in enumerate(zip(OUTCOMES, self.payoffs)):
+            if not (isinstance(row, (list, tuple, np.ndarray)) and len(row) == 3):
+                raise ValueError(f"payoff row {o!r} must be a list of 3 real numbers, got {row!r}")
+            columns[:, j] = [_check_finite(f"payoff[{o!r}][{k}]", x) for k, x in enumerate(row)]
         columns.flags.writeable = False
-        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "payoffs", columns.T)
 
     @classmethod
     def from_mapping(cls, mapping) -> "PayoffTable":
@@ -166,21 +164,7 @@ class PayoffTable:
             raise ValueError(
                 f"payoff table keys must be exactly {sorted(OUTCOMES)}, got {sorted(keys)}"
             )
-        for o in OUTCOMES:
-            row = mapping[o]
-            if not (
-                isinstance(row, (list, tuple))
-                and len(row) == 3
-                and all(_is_real(x) for x in row)
-            ):
-                raise ValueError(f"payoff row {o!r} must be a list of 3 real numbers, got {row!r}")
-        return cls(tuple(tuple(mapping[o]) for o in OUTCOMES))
-
-    def column(self, player: int) -> np.ndarray:
-        """All 8 payoffs of player 0, 1 or 2, in basis order (a read-only view)."""
-        if player not in (0, 1, 2):
-            raise ValueError(f"player index must be 0, 1 or 2, got {player!r}")
-        return self._columns[player]
+        return cls([mapping[o] for o in OUTCOMES])
 
     def expected(self, probs: np.ndarray) -> np.ndarray:
         """Expected payoffs ``(N, 3)`` for ``(N, 8)`` outcome probabilities.
@@ -189,10 +173,7 @@ class PayoffTable:
         products the same way whatever ``N`` or the input's layout, so a batch
         row equals the single-profile payoff bit for bit.  A BLAS product
         (``@``) blocks by batch size and does not."""
-        return np.einsum("nj,kj->nk", np.ascontiguousarray(probs), self._columns)
-
-    def as_mapping(self) -> dict[str, list[float]]:
-        return {o: list(row) for o, row in zip(OUTCOMES, self.entries)}
+        return np.einsum("nj,kj->nk", np.ascontiguousarray(probs), self.payoffs.T)
 
 
 #: The classic table; every function that takes a table defaults to it.
@@ -212,6 +193,8 @@ class GameConfig:
     payoffs: PayoffTable = DEFAULT_PAYOFF_TABLE
 
     def __post_init__(self):
+        if not isinstance(self.payoffs, PayoffTable):
+            raise ValueError(f"payoffs must be a PayoffTable, got {type(self.payoffs).__name__}")
         object.__setattr__(self, "gamma", _check_range("gamma", self.gamma, 0.0, _ANGLE_HI))
         object.__setattr__(self, "delta", _check_range("delta", self.delta, 0.0, _ANGLE_HI))
 
@@ -254,9 +237,10 @@ def outcome_probabilities(gamma, delta, pa, pb, pc) -> np.ndarray:
     and a row of a batch equals the single-profile call bit for bit.
 
     Raises:
-        ValueError: if an argument has the wrong shape, an angle is
-            non-finite or out of range, or a row fails to sum to 1 within
-            ``ATOL`` (a bug, not a legitimate input).
+        ValueError: if an argument has the wrong shape or a batch length
+            other than 1 or the shared ``N``, an angle is non-finite or out
+            of range, or a row fails to sum to 1 within ``ATOL`` (a bug, not
+            a legitimate input).
     """
     angles = [np.asarray(a, dtype=float) for a in (gamma, delta)]
     for name, a in zip(("gamma", "delta"), angles):
@@ -273,6 +257,13 @@ def outcome_probabilities(gamma, delta, pa, pb, pc) -> np.ndarray:
                 f"player {name} needs (theta, alpha, beta) of shape (3,) or (N, 3), "
                 f"got shape {p.shape}"
             )
+    # Each argument holds 1 row or the batch's N rows, which the first longer one sets.
+    lengths = [a.size for a in angles] + [p.size // 3 for p in players]
+    names = ("gamma", "delta") + tuple(f"player {name}" for name in PLAYERS)
+    batched = [(n, name) for n, name in zip(lengths, names) if n != 1]
+    for n, name in batched[1:]:
+        if n != batched[0][0]:
+            raise ValueError(f"{name} holds {n} rows, but {batched[0][1]} holds {batched[0][0]}")
     # All players' rows go through one range check and one move evaluation.
     rows = np.concatenate([p.reshape(-1, 3) for p in players])
     # NaN fails both comparisons, so this also rejects non-finite angles.
@@ -280,8 +271,7 @@ def outcome_probabilities(gamma, delta, pa, pb, pc) -> np.ndarray:
         raise ValueError(
             "player angles must satisfy 0 <= theta <= pi and -pi <= alpha, beta <= pi"
         )
-    na, nb = (p.size // 3 for p in players[:2])
-    return _born(flat[:, None] / 2, angles[0].size, rows, na, nb)
+    return _born(flat[:, None] / 2, lengths[0], rows, *lengths[2:4])
 
 
 def _born(half: np.ndarray, ng: int, rows: np.ndarray, na: int, nb: int) -> np.ndarray:

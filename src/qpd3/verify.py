@@ -87,7 +87,7 @@ def build_verify_bundle(seed: int) -> tuple[dict, list]:
     profiles[..., 0] = math.pi * defects
     profiles[..., 1:] = rng.uniform(_PARAM_LO[1:], _PARAM_HI[1:], size=(80, 3, 2))
     probs = outcome_probabilities(0.0, 0.0, *profiles.transpose(1, 0, 2))
-    worst = float(np.max(np.abs(table.expected(probs) - np.array(table.entries)[bits])))
+    worst = float(np.max(np.abs(table.expected(probs) - table.payoffs[bits])))
     checks["classical_limit"] = worst <= ATOL
     results["classical_limit"] = {"max_abs_error": worst}
 

@@ -65,18 +65,18 @@ def trace_rule_payoffs(config: GameConfig, pa, pb, pc) -> tuple[float, float, fl
     rho_f = u @ np.outer(psi0, psi0.conj()) @ u.conj().T
     assert abs(np.trace(rho_f) - 1.0) < 1e-12
     probs = np.array([np.vdot(v, rho_f @ v).real for v in reference_basis(config.delta)])
-    return tuple(float(probs @ config.payoffs.column(k)) for k in range(3))
+    return tuple(float(probs @ config.payoffs.payoffs[:, k]) for k in range(3))
 
 
 def classical_payoff(table, defect_probs) -> PayoffTriple:
     """Expected payoffs when each player independently defects with the given
     probability (the multilinear mixing of the classical game)."""
     totals = np.zeros(3)
-    for b, row in enumerate(table.entries):
+    for b, row in enumerate(table.payoffs):
         weight = 1.0
         for pos, q in enumerate(defect_probs):
             weight *= q if (b >> (2 - pos)) & 1 else 1.0 - q
-        totals += weight * np.array(row)
+        totals += weight * row
     return PayoffTriple(*totals.tolist())
 
 

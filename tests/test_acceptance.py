@@ -54,7 +54,7 @@ def test_criterion_01_classical_limit():
     config = GameConfig(0.0, 0.0)
     worst = 0.0
     for bits in range(8):
-        want = DEFAULT_PAYOFF_TABLE.entries[bits]
+        want = DEFAULT_PAYOFF_TABLE.payoffs[bits]
         for _ in range(10):
             profile = [
                 StrategyParams(

@@ -65,7 +65,8 @@ def stderr_of_two_runs(argv, capsys) -> list[str]:
 
 def write_table(path: Path, rows: dict | None = None) -> Path:
     """The classic payoff table as a ``--payoffs`` file, with ``rows`` replaced."""
-    entries = {**qpd3.DEFAULT_PAYOFF_TABLE.as_mapping(), **(rows or {})}
+    classic = dict(zip(qpd3.OUTCOMES, qpd3.DEFAULT_PAYOFF_TABLE.payoffs.tolist()))
+    entries = {**classic, **(rows or {})}
     path.write_text(json.dumps(entries))
     return path
 

@@ -140,8 +140,7 @@ class TestProtocolTable:
         # the four regime tables from one 64-row batch, each equal bit for
         # bit to the table of its angles alone
         a, b = scale
-        entries = DEFAULT_PAYOFF_TABLE.entries
-        table = PayoffTable(tuple(tuple(a * x + b for x in row) for row in entries))
+        table = PayoffTable(a * DEFAULT_PAYOFF_TABLE.payoffs + b)
         alone = {case: protocol_table(*angles, table) for case, angles in REGIMES.items()}
         rows = []
         kernel = qpd3.comms.outcome_probabilities

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -131,6 +132,23 @@ class TestGridSpec:
     def test_rejects_tiny_axes(self):
         with pytest.raises(ValueError):
             GridSpec(1, 17, 17)
+
+    @pytest.mark.parametrize("bad", [2.5, "3", True, 5.0, None], ids=repr)
+    @pytest.mark.parametrize("k,name", enumerate(["theta_points", "alpha_points", "beta_points"]))
+    def test_axes_take_integers_only(self, k, name, bad):
+        counts = [5, 5, 5]
+        counts[k] = bad
+        message = f"^{name} must be an integer, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            GridSpec(*counts)
+
+    def test_every_integral_count_constructs(self):
+        grid = GridSpec(np.int64(5), 5, np.uint8(5))
+        assert grid == SMALL_GRID
+        assert grid.size() == SMALL_GRID.size()
+        # stored as ints, so the size bound cannot wrap around in uint8
+        with pytest.raises(ValueError, match="beyond the limit"):
+            GridSpec(np.uint8(250), np.uint8(250), np.uint8(250))
 
     def test_rejects_grids_beyond_the_size_limit(self):
         # rejected from the counts alone: building these would take tens of GB
@@ -273,7 +291,7 @@ class TestExactCrossCheck:
             trials.append(((random_params(rng), random_params(rng)), config))
         for player in range(3):
             top = np.linalg.eigvalsh(payoff_forms(player, trials[player::3])).max(axis=1)
-            assert np.all(top <= DEFAULT_PAYOFF_TABLE.column(player).max() + 1e-12)
+            assert np.all(top <= DEFAULT_PAYOFF_TABLE.payoffs[:, player].max() + 1e-12)
 
     def test_exact_gaps_equal_grid_gaps_at_stated_profiles(self, scan):
         expected = {
@@ -472,8 +490,7 @@ class TestFourCaseScan:
     def test_every_certificate_equals_verify_nash(self, grid, scale):
         # the batched certificates against one verify_nash per profile, bit for bit
         a, b = scale
-        entries = DEFAULT_PAYOFF_TABLE.entries
-        table = PayoffTable(tuple(tuple(a * x + b for x in row) for row in entries))
+        table = PayoffTable(a * DEFAULT_PAYOFF_TABLE.payoffs + b)
         scan = four_case_scan(table, grid)
         certificates = [*scan.reports.items(), *scan.secondary.items()]
         assert len(certificates) == 6

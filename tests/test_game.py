@@ -122,7 +122,7 @@ class TestStrategyUnitary:
     def test_angles_must_be_real_numbers(self, build, field):
         # expected_payoffs runs the Born rule on the dataclasses without
         # checking their angles again, so the constructors refuse what
-        # float() would coerce, as PayoffTable.from_mapping does
+        # float() would coerce, as PayoffTable does
         with pytest.raises(ValueError, match=rf"^{field} must be a real number"):
             build()
 
@@ -248,7 +248,7 @@ class TestExpectedPayoffs:
     def test_pure_strategies_reproduce_base_table(self, rng):
         config = GameConfig(0, 0)
         for bits in range(8):
-            want = DEFAULT_PAYOFF_TABLE.entries[bits]
+            want = DEFAULT_PAYOFF_TABLE.payoffs[bits]
             for _ in range(10):
                 profile = [
                     StrategyParams(
@@ -264,7 +264,7 @@ class TestExpectedPayoffs:
                 ) < 1e-12
 
     def test_payoff_bounds(self, rng):
-        lo, hi = np.min(DEFAULT_PAYOFF_TABLE.entries), np.max(DEFAULT_PAYOFF_TABLE.entries)
+        lo, hi = np.min(DEFAULT_PAYOFF_TABLE.payoffs), np.max(DEFAULT_PAYOFF_TABLE.payoffs)
         for _ in range(300):
             got = expected_payoffs(
                 random_config(rng), *(random_params(rng) for _ in range(3))
@@ -367,6 +367,12 @@ class TestOutcomeProbabilities:
                 row = [p[i] if np.ndim(p) == 2 else p for p in players]
                 single = outcome_probabilities(float(gammas[i]), float(deltas[i]), *row)
                 assert np.array_equal(batch[i], single[0])
+        # arrays of 1 row, as the angle and as a player, broadcast like scalars
+        batch = outcome_probabilities([config.gamma], deltas, rows[0][:1], *rows[1:])
+        for i in range(50):
+            row = (rows[0][0], rows[1][i], rows[2][i])
+            single = outcome_probabilities(config.gamma, float(deltas[i]), *row)
+            assert np.array_equal(batch[i], single[0])
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     @pytest.mark.parametrize(
@@ -413,6 +419,26 @@ class TestOutcomeProbabilities:
         with pytest.raises(ValueError):
             outcome_probabilities(np.zeros(3), 0.0, np.zeros((2, 3)), *[(0.0, 0.0, 0.0)] * 2)
 
+    @pytest.mark.parametrize(
+        "k,name", list(enumerate(["gamma", "delta", "player A", "player B", "player C"]))
+    )
+    def test_names_the_argument_whose_batch_length_disagrees(self, k, name):
+        # every argument but the k-th holds 2 rows, which the k-th breaks with
+        # 3; the first argument of more than 1 row sets the batch length
+        args = [np.full(2, 0.1), np.full(2, 0.2)] + [np.zeros((2, 3))] * 3
+        args[k] = np.full(3, 0.3) if k < 2 else np.zeros((3, 3))
+        message = f"{name} holds 3 rows, but gamma holds 2"
+        if k == 0:
+            message = "delta holds 2 rows, but gamma holds 3"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            outcome_probabilities(*args)
+
+    def test_a_single_row_does_not_set_the_batch(self):
+        with pytest.raises(ValueError, match="^delta holds 3 rows, but gamma holds 2$"):
+            outcome_probabilities([0.1, 0.2], [0.1, 0.2, 0.3], *[(0, 0, 0)] * 3)
+        with pytest.raises(ValueError, match="^player C holds 2 rows, but player A holds 3$"):
+            outcome_probabilities(0.1, [0.2], np.zeros((3, 3)), (0, 0, 0), np.zeros((2, 3)))
+
 
 class TestClassicalPayoff:
     """The test-side classical reference, at hand-checked points."""
@@ -438,27 +464,63 @@ class TestConfigAndTable:
     def test_default_table_is_shared(self):
         assert GameConfig(0, 0).payoffs is DEFAULT_PAYOFF_TABLE
 
-    def test_columns_are_stored_read_only(self):
-        # every caller shares the default table's columns, so none may write
-        column = DEFAULT_PAYOFF_TABLE.column(1)
-        with pytest.raises(ValueError):
-            column[0] = 9.0
-        assert column.tolist() == [3, 2, 5, 4, 2, 0, 4, 1]
+    def test_config_refuses_a_table_of_another_type(self):
+        # a mapping is read with PayoffTable.from_mapping, not passed as is
+        with pytest.raises(ValueError, match="^payoffs must be a PayoffTable, got dict"):
+            GameConfig(0.1, 0.2, {"000": (1, 1, 1)})
 
-    @pytest.mark.parametrize("player", ["B", 3, -1])
-    def test_column_takes_only_a_player_index(self, player):
-        with pytest.raises(ValueError, match="player index must be 0, 1 or 2"):
-            DEFAULT_PAYOFF_TABLE.column(player)
+    def test_public_members_are_the_array_and_its_two_readers(self):
+        members = {name for name in dir(DEFAULT_PAYOFF_TABLE) if not name.startswith("_")}
+        assert members == {"payoffs", "expected", "from_mapping"}
+
+    def test_payoffs_are_one_read_only_array(self):
+        # every caller shares the default table's array, so none may write
+        payoffs = DEFAULT_PAYOFF_TABLE.payoffs
+        assert payoffs.shape == (8, 3)
+        with pytest.raises(ValueError):
+            payoffs[0, 0] = 9.0
+        with pytest.raises(ValueError):
+            payoffs.T[1] = 9.0
+        assert payoffs.T.flags.c_contiguous
+        assert payoffs[:, 1].tolist() == [3, 2, 5, 4, 2, 0, 4, 1]
+        assert payoffs[OUTCOMES.index("100")].tolist() == [5, 2, 2]
+
+    def test_an_array_of_payoffs_constructs(self):
+        a, b = 2.5, -7.0
+        table = PayoffTable(a * DEFAULT_PAYOFF_TABLE.payoffs + b)
+        assert table.payoffs.tolist() == (a * DEFAULT_PAYOFF_TABLE.payoffs + b).tolist()
+        assert table.payoffs.T.flags.c_contiguous and not table.payoffs.flags.writeable
+
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ((1.0, 2.0), r"payoff row '011' must be a list of 3 real numbers"),
+            (5.0, r"payoff row '011' must be a list of 3 real numbers"),
+            ("123", r"payoff row '011' must be a list of 3 real numbers"),
+            ([[1], 2, 3], r"payoff\['011'\]\[0\] must be a real number, got \[1\]"),
+            ([1, True, 3], r"payoff\['011'\]\[1\] must be a real number"),
+            ([1, 2, math.nan], r"payoff\['011'\]\[2\] must be finite"),
+        ],
+        ids=["short", "number", "string", "nested", "bool", "nan"],
+    )
+    def test_constructor_names_the_outcome_of_a_bad_row(self, row, message):
+        rows = DEFAULT_PAYOFF_TABLE.payoffs.tolist()
+        rows[OUTCOMES.index("011")] = row
+        with pytest.raises(ValueError, match=f"^{message}"):
+            PayoffTable(rows)
 
     def test_table_requires_all_outcomes(self):
-        mapping = DEFAULT_PAYOFF_TABLE.as_mapping()
+        mapping = dict(zip(OUTCOMES, DEFAULT_PAYOFF_TABLE.payoffs.tolist()))
         del mapping["111"]
         with pytest.raises(ValueError):
             PayoffTable.from_mapping(mapping)
+        with pytest.raises(ValueError, match="exactly 8 outcome rows"):
+            PayoffTable(DEFAULT_PAYOFF_TABLE.payoffs[:7])
 
     def test_table_round_trip(self):
-        mapping = DEFAULT_PAYOFF_TABLE.as_mapping()
-        assert PayoffTable.from_mapping(mapping) == DEFAULT_PAYOFF_TABLE
+        mapping = dict(zip(OUTCOMES, DEFAULT_PAYOFF_TABLE.payoffs.tolist()))
+        table = PayoffTable.from_mapping(mapping)
+        assert table.payoffs.tobytes() == DEFAULT_PAYOFF_TABLE.payoffs.tobytes()
 
     def test_custom_table_changes_payoffs(self):
         mapping = {o: [1.0, 1.0, 1.0] for o in OUTCOMES}
