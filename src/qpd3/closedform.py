@@ -40,6 +40,7 @@ from .game import (
     PayoffTable,
     PayoffTriple,
     StrategyParams,
+    _check_profile,
     expected_payoffs,
     outcome_probabilities,
 )
@@ -139,6 +140,7 @@ def closed_form_payoffs(
     agrees with the oracle there.  Away from that corner, agreement is an
     empirical question answered by :func:`compare_to_oracle`.
     """
+    _check_profile(config, pa, pb, pc)
     params = np.array([[p.as_tuple() for p in (pa, pb, pc)]])
     payoffs = _closed_form(config.gamma, config.delta, params, config.payoffs)
     return PayoffTriple(*payoffs[0].tolist())
@@ -157,8 +159,10 @@ def max_entanglement_payoffs(
     is what this evaluator uses.
 
     Raises:
-        ValueError: unless ``gamma`` and ``delta`` both equal pi/2.
+        ValueError: unless ``gamma`` and ``delta`` both equal pi/2, or if an
+            argument is not a ``GameConfig`` or ``StrategyParams``.
     """
+    _check_profile(config, pa, pb, pc)
     half_pi = math.pi / 2
     if abs(config.gamma - half_pi) > ATOL or abs(config.delta - half_pi) > ATOL:
         raise ValueError("max_entanglement_payoffs requires gamma = delta = pi/2")
@@ -261,31 +265,26 @@ def compare_to_oracle(sampler: Sampler, n: int, seed: int = 0) -> ComparisonRepo
     judged; callers decide which regimes warrant assertions.  The sampler
     draws all ``n`` samples at once and the closed form runs once over them;
     the oracle runs once per sample, under the classic payoff table, on the
-    dataclasses whose constructors check the sample's angles.  That
-    loop is what the ``audit`` benchmark workload measures and its smoke test
-    pins, so it stays until the benchmark moves to :func:`_oracle_deltas`,
-    which gives the same values in one kernel call (ROADMAP item 1).
+    dataclasses whose constructors check the sample's angles, and ``|delta|``
+    is one array expression over all samples.  That loop is what the
+    ``audit`` benchmark workload measures and its smoke test pins, so it
+    stays until the benchmark moves to :func:`_oracle_deltas`, which gives
+    the same values in one kernel call (ROADMAP item 1).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     gamma, delta, params = sampler(np.random.default_rng(seed), n)
     closed = _closed_form(gamma, delta, params, DEFAULT_PAYOFF_TABLE)
-    samples = []
-    rows = zip(gamma.tolist(), delta.tolist(), params.tolist(), closed.tolist())
-    for g, d, moves, closed_form in rows:
-        profile = tuple(StrategyParams(*move) for move in moves)
-        oracle = expected_payoffs(GameConfig(g, d), *profile).as_tuple()
-        samples.append(
-            ComparisonSample(
-                gamma=g,
-                delta=d,
-                params=tuple(p.as_tuple() for p in profile),
-                oracle=oracle,
-                closed_form=tuple(closed_form),
-                delta_abs=tuple(abs(a - b) for a, b in zip(oracle, closed_form)),
-            )
-        )
-    return ComparisonReport(seed=seed, samples=tuple(samples))
+    gamma, delta, params = gamma.tolist(), delta.tolist(), params.tolist()
+    oracle = np.array([
+        expected_payoffs(GameConfig(g, d), *[StrategyParams(*move) for move in players]).as_tuple()
+        for g, d, players in zip(gamma, delta, params)
+    ])
+    # oracle, closed form and |delta| per sample, as tuples of Python floats
+    triples = (list(map(tuple, x.tolist())) for x in (oracle, closed, np.abs(oracle - closed)))
+    moves = [tuple(map(tuple, sample)) for sample in params]
+    samples = tuple(map(ComparisonSample, gamma, delta, moves, *triples))
+    return ComparisonReport(seed=seed, samples=samples)
 
 
 def _oracle_deltas(

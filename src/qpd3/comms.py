@@ -38,6 +38,7 @@ from .game import (
     GameConfig,
     PayoffTable,
     StrategyParams,
+    _check_types,
     outcome_probabilities,
 )
 
@@ -338,7 +339,12 @@ def information_bits(table: ProtocolTable, model: str = "bob-and-charlie") -> fl
     columns of the average over the four equiprobable codewords, since Bob
     and Charlie commit to their move before Alice's choice is revealed.  2.0
     means every column separates all four codewords.
+
+    Raises:
+        ValueError: if ``table`` is not a ``ProtocolTable`` or ``model`` is
+            not a name in ``MODELS``.
     """
+    _check_types(("table", table, ProtocolTable))
     seen = table.payoffs[..., _visible(model)]
     # match[row, other, column]: the two rows' entries match in that column
     match = _matches(seen[:, None], seen[None, :])

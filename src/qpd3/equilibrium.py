@@ -44,6 +44,7 @@ from .game import (
     PayoffTable,
     PayoffTriple,
     StrategyParams,
+    _check_types,
     outcome_probabilities,
 )
 
@@ -150,6 +151,13 @@ class Profile:
     pa: StrategyParams
     pb: StrategyParams
     pc: StrategyParams
+
+    def __post_init__(self):
+        _check_types(
+            ("pa", self.pa, StrategyParams),
+            ("pb", self.pb, StrategyParams),
+            ("pc", self.pc, StrategyParams),
+        )
 
     def as_tuple(self) -> tuple[StrategyParams, StrategyParams, StrategyParams]:
         return (self.pa, self.pb, self.pc)
@@ -299,7 +307,14 @@ def verify_nash(
     payoff comes from their payoff form, scanned over the grid's axes.  This
     is ``_certify`` of one profile: four kernel calls of at most 10 rows,
     whatever the grid size.
+
+    Raises:
+        ValueError: if an argument is not a ``Profile``, ``GameConfig`` or
+            ``GridSpec``, naming the argument.
     """
+    _check_types(
+        ("profile", profile, Profile), ("config", config, GameConfig), ("grid", grid, GridSpec)
+    )
     return _certify([profile], [config.gamma], [config.delta], config.payoffs, grid)[0]
 
 
@@ -367,7 +382,12 @@ def four_case_scan(
     four kernel calls in all, and each certificate equals ``verify_nash`` of
     its profile bit for bit.  Every claim is measured against the oracle and
     reported; nothing is assumed.
+
+    Raises:
+        ValueError: if ``table`` is not a ``PayoffTable`` or ``grid`` not a
+            ``GridSpec``, naming the argument.
     """
+    _check_types(("table", table, PayoffTable), ("grid", grid, GridSpec))
     mixed = ("PE", "EP")
     stated = [(case, math.pi if case == "PP" else 0.0) for case in REGIMES]
     stated += [(case, math.pi / 2) for case in mixed]

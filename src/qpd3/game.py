@@ -21,6 +21,14 @@ already checked every angle, and is the package-wide oracle: every
 closed-form expression, protocol table and equilibrium scan elsewhere in the
 package is validated against it.  ``moves`` gives the players' 2x2 matrices,
 for checks.
+
+The core makes the same numpy calls whatever the batch size, about thirty,
+each over the whole batch, which runs along the last axis of every
+intermediate array: ``moves`` takes the phases of every move from one exact
+product and one ``exp``, and both branches of the initial state come from
+one broadcast product.  Each probability is still the same products and sums
+in the same order, so a one-profile call and a row of a batch keep their
+bits; the tests pin them.
 """
 
 from __future__ import annotations
@@ -97,10 +105,23 @@ def _check_finite(name: str, value: float) -> float:
 
 
 def _check_range(name: str, value: float, lo: float, hi: float) -> float:
+    # A plain float in range, which every sampler and parser passes, is
+    # returned as it is; NaN and infinity fail the comparison and take the
+    # full check with everything else.
+    if type(value) is float and lo <= value <= hi:
+        return value
     value = _check_finite(name, value)
     if not lo <= value <= hi:
         raise ValueError(f"{name} must lie in [{lo:.6g}, {hi:.6g}], got {value!r}")
     return value
+
+
+def _check_types(*checks) -> None:
+    """Raise a ``ValueError`` naming the first ``(name, value, kind)`` whose
+    value is not an instance of ``kind``."""
+    for name, value, kind in checks:
+        if not isinstance(value, kind):
+            raise ValueError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -199,6 +220,31 @@ class GameConfig:
         object.__setattr__(self, "delta", _check_range("delta", self.delta, 0.0, _ANGLE_HI))
 
 
+def _check_profile(config, pa, pb, pc) -> None:
+    """Refuse a profile that is not a ``GameConfig`` and three ``StrategyParams``,
+    naming the argument; the well-typed case costs four ``isinstance`` tests."""
+    if not (
+        isinstance(config, GameConfig)
+        and isinstance(pa, StrategyParams)
+        and isinstance(pb, StrategyParams)
+        and isinstance(pc, StrategyParams)
+    ):
+        _check_types(
+            ("config", config, GameConfig),
+            ("pa", pa, StrategyParams),
+            ("pb", pb, StrategyParams),
+            ("pc", pc, StrategyParams),
+        )
+
+
+#: ``_PHASE_MAP @ rows + _PHASE_OFFSET`` turns the ``(theta, alpha, beta)``
+#: rows of a ``(3, K)`` array into the phases of the moves' entries ``(0, 0)``,
+#: ``(1, 0)`` and ``(0, 1)``: alpha, pi/2 - beta and pi/2 + beta.  Each is one
+#: angle times +-1 plus 0 or pi/2, so the product is exact.
+_PHASE_MAP = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, -1.0], [0.0, 0.0, 1.0]])
+_PHASE_OFFSET = np.array([[0.0], [math.pi / 2], [math.pi / 2]])
+
+
 def moves(params) -> np.ndarray:
     """Single-qubit moves for ``params[..., (theta, alpha, beta)]``, shape ``(..., 2, 2)``.
 
@@ -207,24 +253,37 @@ def moves(params) -> np.ndarray:
     ``P|1> = e^{i(pi/2 + beta)}|0>``; the move is
     ``cos(theta/2) R + sin(theta/2) P`` and is unitary for every parameter
     choice in range.  Column ``j`` is ``U|j>``.
+
+    Every step runs over all ``K`` moves at once, the moves on the last
+    axis: one exact ``(3, 3)`` product gives the entries' phases, one
+    ``exp`` their phase factors, and ``U[1, 1]`` is ``conj(U[0, 0])``, which
+    differs from ``cos(theta/2) e^{-i alpha}`` at most in the sign of a
+    zero.  For ``(K, 3)`` params the result is the transpose of a
+    C-contiguous ``(2, 2, K)`` array ``[j, i, move]``, so its ``.T`` holds
+    each ``U|j>`` with the moves contiguous.
     """
     params = np.asarray(params, dtype=float)
-    theta, alpha, beta = params[..., 0], params[..., 1], params[..., 2]
-    c = np.cos(theta / 2)
-    s = np.sin(theta / 2)
-    u = np.empty(params.shape[:-1] + (2, 2), dtype=complex)
-    u[..., 0, 0] = c * np.exp(1j * alpha)
-    u[..., 1, 1] = c * np.exp(-1j * alpha)
-    u[..., 0, 1] = s * np.exp(1j * (math.pi / 2 + beta))
-    u[..., 1, 0] = s * np.exp(1j * (math.pi / 2 - beta))
-    return u
+    rows = params.reshape(-1, 3).T
+    half = rows[:1] / 2
+    c, s = np.cos(half), np.sin(half)
+    phase = np.dot(_PHASE_MAP, rows)
+    phase += _PHASE_OFFSET
+    # entries[row] = U[0, 0], U[1, 0], U[0, 1], U[1, 1], each over all moves
+    entries = np.empty((4, rows.shape[1]), dtype=complex)
+    np.multiply(1j, phase, out=entries[:3])
+    np.exp(entries[:3], out=entries[:3])
+    np.conjugate(entries[0], out=entries[3])
+    entries *= np.concatenate([c, s, s, c])
+    return entries.reshape(2, 2, -1).T.reshape(params.shape[:-1] + (2, 2))
 
 
 # The arbiter's vector for outcome lmn is cos(delta/2)|lmn> +- i sin(delta/2)|l'm'n'>,
 # paired with the bitwise complement: the plus sign on this family, the minus
 # sign on the rest.  At delta = 0 it is the computational basis.
 _PLUS_FAMILY = frozenset({"000", "111", "001", "110"})
-_SIGNS = np.array([1.0 if o in _PLUS_FAMILY else -1.0 for o in OUTCOMES])
+#: ``-i`` times each outcome's sign, as a column: the factor that
+#: ``<psi_lmn|`` puts on the complement's amplitude.
+_SIGNS = np.array([[-1j] if o in _PLUS_FAMILY else [1j] for o in OUTCOMES])
 
 
 def outcome_probabilities(gamma, delta, pa, pb, pc) -> np.ndarray:
@@ -271,36 +330,37 @@ def outcome_probabilities(gamma, delta, pa, pb, pc) -> np.ndarray:
         raise ValueError(
             "player angles must satisfy 0 <= theta <= pi and -pi <= alpha, beta <= pi"
         )
-    return _born(flat[:, None] / 2, lengths[0], rows, *lengths[2:4])
+    return _born(flat / 2, lengths[0], rows, *lengths[2:4])
 
 
 def _born(half: np.ndarray, ng: int, rows: np.ndarray, na: int, nb: int) -> np.ndarray:
     """The Born rule itself, on inputs already checked by its two callers.
 
-    ``half`` holds ``gamma / 2`` on its first ``ng`` rows and ``delta / 2``
-    on the rest, shaped ``(ng + nd, 1)`` so that each slice broadcasts along
-    the 8 amplitudes of a row.  ``rows`` stacks the three players'
-    ``(theta, alpha, beta)`` rows: Alice's ``na``, Bob's ``nb``, then
-    Charlie's.  A player with one row broadcasts against a batch of ``N``.
+    ``half`` holds ``gamma / 2`` in its first ``ng`` entries and ``delta / 2``
+    in the rest.  ``rows`` stacks the three players' ``(theta, alpha, beta)``
+    rows: Alice's ``na``, Bob's ``nb``, then Charlie's.  An argument with one
+    row broadcasts against a batch of ``N``.  The batch runs along the last
+    axis of every intermediate array, so each numpy pass is one long loop
+    whatever ``N``; the ``(N, 8)`` result is C-contiguous.
     """
-    (cos_g, cos_d), (sin_g, sin_d) = ((t[:ng], t[ng:]) for t in (np.cos(half), np.sin(half)))
-    u = moves(rows)
-    ua, ub, uc = u[:na], u[na : na + nb], u[na + nb :]
-
-    def branch(j: int) -> np.ndarray:
-        # U_A|j> (x) U_B|j> (x) U_C|j>, Alice on the most significant bit
-        a, b, c = ua[:, :, j], ub[:, :, j], uc[:, :, j]
-        product = a[:, :, None, None] * b[:, None, :, None] * c[:, None, None, :]
-        return product.reshape(-1, 8)
-
+    cos, sin = np.cos(half), np.sin(half)
+    # columns[j, :, k] = U|j> of move k
+    columns = moves(rows).T
+    a, b, c = columns[..., :na], columns[..., na : na + nb], columns[..., na + nb :]
+    # branch[j] = U_A|j> (x) U_B|j> (x) U_C|j>, Alice on the most significant bit
+    branch = (a[:, :, None, None] * b[:, None, :, None] * c[:, None, None, :]).reshape(2, 8, -1)
     # Only |000> and |111> are occupied initially.
-    psi = cos_g * branch(0)
-    psi += 1j * sin_g * branch(1)
+    psi = cos[:ng] * branch[0]
+    psi += 1j * sin[:ng] * branch[1]
     # <psi_lmn|psi> = cos(delta/2) psi[lmn] -+ i sin(delta/2) psi[l'm'n'],
     # and the complement of index b is 7 - b.
-    amp = (-1j * sin_d * _SIGNS) * psi[:, ::-1]
-    amp += cos_d * psi
-    probs = amp.real**2 + amp.imag**2
+    amp = (_SIGNS * sin[ng:]) * psi[::-1]
+    amp += cos[ng:] * psi
+    # |amp|^2 as re^2 + im^2, written to the C-contiguous (N, 8) result
+    square = amp.view(float)
+    np.square(square, out=square)
+    probs = np.empty((amp.shape[1], 8))
+    np.add(square[:, ::2], square[:, 1::2], out=probs.T)
     worst = float(np.abs(probs.sum(axis=1) - 1.0).max())
     if worst > ATOL:
         raise ValueError(f"outcome probabilities sum to 1 +- {worst!r}, beyond {ATOL}")
@@ -314,8 +374,13 @@ def expected_payoffs(
 
     The dataclasses checked every angle when they were built, so this runs
     the Born rule without ``outcome_probabilities``' checks of its arrays.
+
+    Raises:
+        ValueError: if ``config`` is not a ``GameConfig`` or a player not a
+            ``StrategyParams``, naming the argument.
     """
-    half = np.array([[config.gamma], [config.delta]]) / 2
+    _check_profile(config, pa, pb, pc)
+    half = np.array([config.gamma / 2, config.delta / 2])
     probs = _born(half, 1, np.array([pa.as_tuple(), pb.as_tuple(), pc.as_tuple()]), 1, 1)
     return PayoffTriple(*config.payoffs.expected(probs)[0].tolist())
 

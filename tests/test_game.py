@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import itertools
 import math
 import re
@@ -17,11 +18,20 @@ from qpd3 import (
     DEFAULT_PAYOFF_TABLE,
     OUTCOMES,
     GameConfig,
+    GridSpec,
     PayoffTable,
+    Profile,
     StrategyParams,
+    closed_form_payoffs,
+    compare_to_oracle,
     expected_payoffs,
+    four_case_scan,
+    information_bits,
+    max_entanglement_payoffs,
     moves,
     outcome_probabilities,
+    sample_any,
+    verify_nash,
 )
 from qpd3.cli import parse_angle
 
@@ -35,6 +45,41 @@ from conftest import (
 
 HALF_PI = math.pi / 2
 IDENTITY = (0.0, 0.0, 0.0)
+
+#: ``outcome_probabilities`` on ``kernel_probe()``, as the kernel wrote it.
+#: Like the bundle's sha, these bytes hold for numpy 2.4.6 on x86-64; another
+#: numpy build may round differently.
+KERNEL_PROBS = Path(__file__).parent / "data" / "kernel_probs.npy"
+
+#: sha256 of the oracle column of ``compare_to_oracle(sample_any, 1000, 1729)``
+#: as an ``(n, 3)`` float array, pinned the same way.
+ORACLE_COLUMN_SHA256 = "c8e68d80fcc81cd51ea9b08470109cc3e331e53dc4b3f2ad7df5d7a1a04762f5"
+
+
+def kernel_probe():
+    """``outcome_probabilities``' arguments for the pinned kernel bytes: 200
+    seeded rows, about a quarter of each angle on an edge of its range."""
+    rng = np.random.default_rng(1729)
+    n = 200
+
+    def angle(lo, hi, edges):
+        drawn = rng.uniform(lo, hi, n)
+        return np.where(rng.random(n) < 0.25, rng.choice(edges, n), drawn)
+
+    gamma, delta = angle(0.0, HALF_PI, [0.0, HALF_PI]), angle(0.0, HALF_PI, [0.0, HALF_PI])
+    phase_edges = [-math.pi, 0.0, math.pi]
+    players = [
+        np.stack(
+            [
+                angle(0.0, math.pi, [0.0, math.pi]),
+                angle(-math.pi, math.pi, phase_edges),
+                angle(-math.pi, math.pi, phase_edges),
+            ],
+            axis=1,
+        )
+        for _ in range(3)
+    ]
+    return (gamma, delta, *players)
 
 
 def basis8(index):
@@ -125,6 +170,43 @@ class TestStrategyUnitary:
         # float() would coerce, as PayoffTable does
         with pytest.raises(ValueError, match=rf"^{field} must be a real number"):
             build()
+
+    def test_plain_floats_in_range_are_kept_as_given(self, monkeypatch):
+        # a plain float in range skips the full check and is stored as the
+        # same object; the bounds themselves and -0.0 are in range
+        full_checks = []
+        check = qpd3.game._check_finite
+        monkeypatch.setattr(
+            qpd3.game, "_check_finite", lambda *args: full_checks.append(args) or check(*args)
+        )
+        bounds = [(0.0, -math.pi, math.pi), (math.pi, math.pi, -math.pi), (HALF_PI, -0.0, 0.0)]
+        for values in bounds:
+            move = StrategyParams(*values)
+            assert all(got is want for got, want in zip(move.as_tuple(), values))
+        assert math.copysign(1.0, move.alpha) == -1.0
+        for gamma, delta in [(0.0, HALF_PI), (HALF_PI, 0.0)]:
+            config = GameConfig(gamma, delta)
+            assert config.gamma is gamma and config.delta is delta
+        assert full_checks == []
+        # every other real number takes the full check, which stores a float
+        StrategyParams(np.float64(1.0), 1, Fraction(-1, 2))
+        assert [name for name, _ in full_checks] == ["theta", "alpha", "beta"]
+
+    @pytest.mark.parametrize(
+        "value,message",
+        [
+            (math.nan, "alpha must be finite, got nan"),
+            (math.inf, "alpha must be finite, got inf"),
+            (-math.inf, "alpha must be finite, got -inf"),
+            (3.5, "alpha must lie in [-3.14159, 3.14159], got 3.5"),
+            (-math.pi - 1e-15, "alpha must lie in [-3.14159, 3.14159], got -3.141592653589794"),
+            (True, "alpha must be a real number, got True"),
+            ("0.1", "alpha must be a real number, got '0.1'"),
+        ],
+    )
+    def test_bad_angles_keep_their_messages(self, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            StrategyParams(0.0, value, 0.0)
 
     def test_real_numbers_of_every_kind_construct(self):
         move = StrategyParams(np.float64(1.0), 1, Fraction(-1, 2))
@@ -338,6 +420,17 @@ class TestOutcomeProbabilities:
                 got = np.array(expected_payoffs(config, *profile).as_tuple())
                 probs = outcome_probabilities(gamma, delta, *(p.as_tuple() for p in profile))
                 assert got.tobytes() == table.expected(probs)[0].tobytes()
+
+    def test_kernel_bytes_are_pinned(self):
+        # the kernel's last bits, apart from the bundle: a change in how the
+        # Born rule is evaluated must keep every bit or re-pin on purpose
+        want = np.load(KERNEL_PROBS)
+        got = outcome_probabilities(*kernel_probe())
+        assert (got.shape, got.dtype) == (want.shape, want.dtype) == ((200, 8), np.float64)
+        assert got.tobytes() == want.tobytes()
+        # the same holds for the single-profile oracle, one call per sample
+        oracle = np.array([s.oracle for s in compare_to_oracle(sample_any, 1000, 1729).samples])
+        assert hashlib.sha256(oracle.tobytes()).hexdigest() == ORACLE_COLUMN_SHA256
 
     def test_batched_rows_equal_single_profiles(self, rng):
         config = random_config(rng)
@@ -557,6 +650,34 @@ def test_tolerances_are_named_once():
         if re.search(r"1e-(9|12)|round\(", line)
     }
     assert found == {("game.py", "ATOL = 1e-12"), ("game.py", "PAYOFF_TOL = 1e-9")}
+
+
+_MOVE = StrategyParams(0.1, 0.2, 0.3)
+_CONFIG = GameConfig(HALF_PI, HALF_PI)
+
+
+@pytest.mark.parametrize(
+    "call,name,kind",
+    [
+        (lambda: expected_payoffs((0.1, 0.2), _MOVE, _MOVE, _MOVE), "config", "GameConfig"),
+        (lambda: expected_payoffs(_CONFIG, (0.1, 0.2, 0.3), _MOVE, _MOVE), "pa", "StrategyParams"),
+        (lambda: closed_form_payoffs(_CONFIG, _MOVE, (0.1,) * 3, _MOVE), "pb", "StrategyParams"),
+        (lambda: max_entanglement_payoffs(_CONFIG, _MOVE, _MOVE, [0.1]), "pc", "StrategyParams"),
+        (lambda: verify_nash((_MOVE,) * 3, _CONFIG, GridSpec()), "profile", "Profile"),
+        (lambda: verify_nash(Profile(*(_MOVE,) * 3), _CONFIG, (2, 2, 2)), "grid", "GridSpec"),
+        (lambda: Profile(_MOVE, _MOVE, (0.1, 0.2, 0.3)), "pc", "StrategyParams"),
+        (lambda: information_bits({}), "table", "ProtocolTable"),
+        (lambda: four_case_scan(dict), "table", "PayoffTable"),
+    ],
+    ids=["expected_payoffs", "expected_payoffs-move", "closed_form_payoffs",
+         "max_entanglement_payoffs", "verify_nash", "verify_nash-grid", "Profile",
+         "information_bits", "four_case_scan"],
+)
+def test_public_functions_name_the_argument_of_the_wrong_type(call, name, kind):
+    # a tuple or mapping where a checked dataclass belongs is refused by name,
+    # not left to fail later as an AttributeError
+    with pytest.raises(ValueError, match=f"^{name} must be a {kind}, got "):
+        call()
 
 
 #: Every public name of the package; a new or removed export must update this.
