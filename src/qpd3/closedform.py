@@ -40,7 +40,7 @@ from .game import (
     PayoffTable,
     PayoffTriple,
     StrategyParams,
-    _check_profile,
+    _check_types,
     expected_payoffs,
     outcome_probabilities,
 )
@@ -140,7 +140,12 @@ def closed_form_payoffs(
     agrees with the oracle there.  Away from that corner, agreement is an
     empirical question answered by :func:`compare_to_oracle`.
     """
-    _check_profile(config, pa, pb, pc)
+    _check_types(
+        ("config", config, GameConfig),
+        ("pa", pa, StrategyParams),
+        ("pb", pb, StrategyParams),
+        ("pc", pc, StrategyParams),
+    )
     params = np.array([[p.as_tuple() for p in (pa, pb, pc)]])
     payoffs = _closed_form(config.gamma, config.delta, params, config.payoffs)
     return PayoffTriple(*payoffs[0].tolist())
@@ -162,7 +167,12 @@ def max_entanglement_payoffs(
         ValueError: unless ``gamma`` and ``delta`` both equal pi/2, or if an
             argument is not a ``GameConfig`` or ``StrategyParams``.
     """
-    _check_profile(config, pa, pb, pc)
+    _check_types(
+        ("config", config, GameConfig),
+        ("pa", pa, StrategyParams),
+        ("pb", pb, StrategyParams),
+        ("pc", pc, StrategyParams),
+    )
     half_pi = math.pi / 2
     if abs(config.gamma - half_pi) > ATOL or abs(config.delta - half_pi) > ATOL:
         raise ValueError("max_entanglement_payoffs requires gamma = delta = pi/2")

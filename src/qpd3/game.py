@@ -83,13 +83,8 @@ _CLASSIC_ENTRIES = {
 
 
 def _is_real(value) -> bool:
-    """A real number: not a string that ``float`` would parse, nor a bool.
-
-    A plain float, which every sampler and parser passes, skips the slower
-    ABC check."""
-    return type(value) is float or (
-        isinstance(value, numbers.Real) and not isinstance(value, bool)
-    )
+    """A real number: not a string that ``float`` would parse, nor a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _check_finite(name: str, value: float) -> float:
@@ -218,23 +213,6 @@ class GameConfig:
             raise ValueError(f"payoffs must be a PayoffTable, got {type(self.payoffs).__name__}")
         object.__setattr__(self, "gamma", _check_range("gamma", self.gamma, 0.0, _ANGLE_HI))
         object.__setattr__(self, "delta", _check_range("delta", self.delta, 0.0, _ANGLE_HI))
-
-
-def _check_profile(config, pa, pb, pc) -> None:
-    """Refuse a profile that is not a ``GameConfig`` and three ``StrategyParams``,
-    naming the argument; the well-typed case costs four ``isinstance`` tests."""
-    if not (
-        isinstance(config, GameConfig)
-        and isinstance(pa, StrategyParams)
-        and isinstance(pb, StrategyParams)
-        and isinstance(pc, StrategyParams)
-    ):
-        _check_types(
-            ("config", config, GameConfig),
-            ("pa", pa, StrategyParams),
-            ("pb", pb, StrategyParams),
-            ("pc", pc, StrategyParams),
-        )
 
 
 #: ``_PHASE_MAP @ rows + _PHASE_OFFSET`` turns the ``(theta, alpha, beta)``
@@ -379,7 +357,12 @@ def expected_payoffs(
         ValueError: if ``config`` is not a ``GameConfig`` or a player not a
             ``StrategyParams``, naming the argument.
     """
-    _check_profile(config, pa, pb, pc)
+    _check_types(
+        ("config", config, GameConfig),
+        ("pa", pa, StrategyParams),
+        ("pb", pb, StrategyParams),
+        ("pc", pc, StrategyParams),
+    )
     half = np.array([config.gamma / 2, config.delta / 2])
     probs = _born(half, 1, np.array([pa.as_tuple(), pb.as_tuple(), pc.as_tuple()]), 1, 1)
     return PayoffTriple(*config.payoffs.expected(probs)[0].tolist())
