@@ -27,9 +27,8 @@ DEFECT = StrategyParams(math.pi, 0.0, HALF_PI)
 
 def show(config, pa, pb, pc, label):
     payoff = expected_payoffs(config, pa, pb, pc)
-    probs = outcome_probabilities(
-        config.gamma, config.delta, pa.as_tuple(), pb.as_tuple(), pc.as_tuple()
-    )[0]
+    profile = [pa.as_tuple(), pb.as_tuple(), pc.as_tuple()]
+    probs = outcome_probabilities(config.gamma, config.delta, profile)[0]
     support = {o: round(p, 4) for o, p in zip(OUTCOMES, probs.tolist()) if p > 1e-12}
     print(f"  {label:<34} payoffs = {tuple(round(x, 4) for x in payoff.as_tuple())}")
     print(f"  {'':<34} outcome weights = {support}")

@@ -3,9 +3,10 @@
 Fixing a strategy profile, the expected payoffs are smooth functions of the
 initial-state angle gamma and the measurement-basis angle delta.  The sweep
 below uses the profile from the maximal-entanglement equilibrium (everyone
-plays theta = 0; Alice sets alpha = beta = pi) and shows Alice's payoff
-climbing from the classical 3 toward the protected 3 at full entanglement,
-dipping through the mixed regimes in between.
+plays theta = 0; Alice sets alpha = beta = pi).  There Alice's payoff is
+exactly 2 + cos(gamma - delta): 3 at the classical corner and at full
+entanglement, 2 in the two mixed regimes, and constant along each diagonal
+of the table.
 """
 
 import math

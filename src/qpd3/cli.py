@@ -11,9 +11,10 @@ Subcommands:
   expected output, not failures).
 
 The parser turns each option's text into a value, and every bad input exits 2
-with one ``error:`` line; each subcommand makes its library call and renders the
-result as one JSON report with five sections, written to ``--out`` or, with the
-same bytes, to stdout.  The checks themselves live in the library
+with one ``error:`` line.  Each subcommand makes its library call and returns
+one report with five sections; ``main`` renders it as JSON once, written to
+``--out`` or, with the same bytes, to stdout, and exits 1 if a check under
+``verdicts.checks`` failed.  The checks themselves live in the library
 (:mod:`qpd3.verify`).
 
 Angles are accepted as rational multiples of pi ("pi/3", "-pi", "3pi/4") or
@@ -216,30 +217,26 @@ def _table_for(args) -> PayoffTable:
 # subcommands
 
 
-def cmd_payoff(args) -> int:
+def cmd_payoff(args) -> dict:
     config = GameConfig(args.gamma, args.delta, _table_for(args))
-    profile = (args.alice, args.bob, args.charlie)
-    probs = outcome_probabilities(config.gamma, config.delta, *(p.as_tuple() for p in profile))
-    payoffs = config.payoffs.expected(probs)[0].tolist()
-    doc = report_doc(
+    profile = Profile(args.alice, args.bob, args.charlie)
+    moves = [p.as_tuple() for p in profile.as_tuple()]
+    probs = outcome_probabilities(config.gamma, config.delta, moves)
+    return report_doc(
         inputs={
             "command": "payoff",
             "gamma": config.gamma,
             "delta": config.delta,
-            "alice": list(profile[0].as_tuple()),
-            "bob": list(profile[1].as_tuple()),
-            "charlie": list(profile[2].as_tuple()),
+            **profile.to_record(),
         },
         results={
-            "payoffs": payoffs,
+            "payoffs": config.payoffs.expected(probs)[0].tolist(),
             "outcome_probabilities": dict(zip(OUTCOMES, probs[0].tolist())),
         },
     )
-    _emit(args, render_json(doc))
-    return 0
 
 
-def cmd_table(args) -> int:
+def cmd_table(args) -> dict:
     gamma, delta, table = args.gamma, args.delta, _table_for(args)
     oracle = protocol_table(gamma, delta, table)
     fixture_name = args.fixture or auto_fixture(gamma, delta, table)
@@ -251,51 +248,46 @@ def cmd_table(args) -> int:
         fixtures[fixture_name] = compared
         verdicts["matches_fixture"] = not discrepancies
 
-    doc = report_doc(
+    return report_doc(
         inputs={"command": "table", "gamma": gamma, "delta": delta, "fixture": fixture_name},
         results={"table": oracle.to_record()},
         fixtures_compared=fixtures,
         verdicts=verdicts,
         discrepancies=discrepancies,
     )
-    _emit(args, render_json(doc))
-    return 0
 
 
-def cmd_nash(args) -> int:
+def cmd_nash(args) -> dict:
     grid, table = args.grid, _table_for(args)
     if args.scan:
         _reject_given(args, "nash --scan", ("alice", "bob", "charlie", "gamma", "delta"))
         scan = four_case_scan(table, grid)
-        doc = report_doc(
+        return report_doc(
             inputs={"command": "nash", "mode": "scan", "grid": grid.to_record()},
             results=scan.to_record(),
             verdicts=scan.verdicts(),
             discrepancies=scan.discrepancies(),
         )
-    else:
-        if not (args.alice and args.bob and args.charlie):
-            raise UsageError("nash needs --alice/--bob/--charlie (or use --scan)")
-        gamma, delta = (0.0 if a is None else a for a in (args.gamma, args.delta))
-        config = GameConfig(gamma, delta, table)
-        profile = Profile(args.alice, args.bob, args.charlie)
-        report = verify_nash(profile, config, grid)
-        doc = report_doc(
-            inputs={
-                "command": "nash",
-                "mode": "profile",
-                "gamma": config.gamma,
-                "delta": config.delta,
-                "grid": grid.to_record(),
-            },
-            results=report.to_record(),
-            verdicts={"is_nash": report.is_nash},
-        )
-    _emit(args, render_json(doc))
-    return 0
+    if not (args.alice and args.bob and args.charlie):
+        raise UsageError("nash needs --alice/--bob/--charlie (or use --scan)")
+    gamma, delta = (0.0 if a is None else a for a in (args.gamma, args.delta))
+    config = GameConfig(gamma, delta, table)
+    profile = Profile(args.alice, args.bob, args.charlie)
+    report = verify_nash(profile, config, grid)
+    return report_doc(
+        inputs={
+            "command": "nash",
+            "mode": "profile",
+            "gamma": config.gamma,
+            "delta": config.delta,
+            "grid": grid.to_record(),
+        },
+        results=report.to_record(),
+        verdicts={"is_nash": report.is_nash},
+    )
 
 
-def cmd_comm_simulate(args) -> int:
+def cmd_comm_simulate(args) -> dict:
     table = protocol_table(args.gamma, args.delta, _table_for(args))
 
     transmissions = []
@@ -316,7 +308,7 @@ def cmd_comm_simulate(args) -> int:
             )
 
     info = {name: information_bits(table, name) for name in MODELS}
-    doc = report_doc(
+    return report_doc(
         inputs={
             "command": "comm simulate",
             "gamma": args.gamma,
@@ -330,11 +322,9 @@ def cmd_comm_simulate(args) -> int:
         },
         verdicts={"fully_decodable": info[args.model] == 2.0},
     )
-    _emit(args, render_json(doc))
-    return 0
 
 
-def cmd_comm_decode(args) -> int:
+def cmd_comm_decode(args) -> dict:
     if args.fixture:
         _reject_given(args, "decode --fixture", ("gamma", "delta", "payoffs"))
         table = fixture_table(args.fixture)
@@ -344,8 +334,7 @@ def cmd_comm_decode(args) -> int:
         table = protocol_table(args.gamma, args.delta, _table_for(args))
     result = decode(table, args.common, args.observed, args.model)
     alice = dict(zip(CODEWORDS, table.payoffs[:, table.column_index(args.common), 0].tolist()))
-
-    doc = report_doc(
+    return report_doc(
         inputs={
             "command": "comm decode",
             "table": table.label,
@@ -359,19 +348,10 @@ def cmd_comm_decode(args) -> int:
         },
         verdicts={"unique": len(result.candidates) == 1},
     )
-    _emit(args, render_json(doc))
-    return 0
 
 
-def cmd_verify(args) -> int:
-    doc, hard = build_verify_bundle(args.seed)
-    _emit(args, render_json(doc))
-    for name, ok in doc["verdicts"]["checks"].items():
-        sys.stderr.write(f"{'pass' if ok else 'FAIL'}  {name}\n")
-    sys.stderr.write(
-        f"{len(hard)} hard failure(s); {len(doc['discrepancies'])} documented discrepancy record(s)\n"
-    )
-    return 1 if hard else 0
+def cmd_verify(args) -> dict:
+    return build_verify_bundle(args.seed)[0]
 
 
 # --------------------------------------------------------------------------
@@ -463,12 +443,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and write its report; exit 1 if a check in
+    ``verdicts.checks`` failed, each check named on stderr."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        doc = args.func(args)
+        _emit(args, render_json(doc))
     except (ValueError, OSError) as exc:
         parser.error(str(exc))
+    checks = doc["verdicts"].get("checks", {})
+    failed = [name for name, ok in checks.items() if not ok]
+    if checks:
+        for name, ok in checks.items():
+            sys.stderr.write(f"{'pass' if ok else 'FAIL'}  {name}\n")
+        sys.stderr.write(
+            f"{len(failed)} hard failure(s); "
+            f"{len(doc['discrepancies'])} documented discrepancy record(s)\n"
+        )
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -308,6 +308,6 @@ def _oracle_deltas(
     """
     gamma, delta, params = sampler(np.random.default_rng(seed), n)
     closed = _closed_form(gamma, delta, params, DEFAULT_PAYOFF_TABLE)
-    probs = outcome_probabilities(gamma, delta, *params.transpose(1, 0, 2))
+    probs = outcome_probabilities(gamma, delta, params)
     oracle = DEFAULT_PAYOFF_TABLE.expected(probs)
     return oracle, closed, np.abs(oracle - closed)

@@ -74,7 +74,7 @@ MODELS = {"own": (1,), "bob-and-charlie": (1, 2), "full-triple": (0, 1, 2)}
 
 def _visible(model: str) -> tuple[int, ...]:
     """The player indices ``model`` names, or a ``ValueError`` naming the choices."""
-    if model not in MODELS:
+    if not isinstance(model, str) or model not in MODELS:
         raise ValueError(f"model must be one of {tuple(MODELS)}, got {model!r}")
     return MODELS[model]
 
@@ -163,9 +163,7 @@ def _oracle_tables(angles, table: PayoffTable) -> list[ProtocolTable]:
     profiles[:, :, 1:, 1:] = COMMON_ALPHA, COMMON_BETA
     profiles = profiles.reshape(-1, 3, 3)
     gammas, deltas = np.repeat(np.array(angles, dtype=float), len(profiles), axis=0).T
-    probs = outcome_probabilities(
-        gammas, deltas, *np.tile(profiles, (len(angles), 1, 1)).transpose(1, 0, 2)
-    )
+    probs = outcome_probabilities(gammas, deltas, np.tile(profiles, (len(angles), 1, 1)))
     payoffs = table.expected(probs).reshape(len(angles), len(CODEWORDS), len(COLUMNS), 3)
     return [
         ProtocolTable(
@@ -306,10 +304,12 @@ def decode(
     ``observed`` must carry as many components as ``MODELS[model]`` names.
 
     Raises:
-        ValueError: if ``model`` is not a key of ``MODELS``, if an observed
-            payoff is not finite, or if the observed payoffs match no row of
-            the column; the table and the observation are inconsistent.
+        ValueError: if ``table`` is not a ``ProtocolTable``, if ``model`` is
+            not a key of ``MODELS``, if an observed payoff is not finite, or
+            if the observed payoffs match no row of the column; the table and
+            the observation are inconsistent.
     """
+    _check_types(("table", table, ProtocolTable))
     visible = _visible(model)
     col = table.column_index(common_move_pair)
     if len(observed) != len(visible):
@@ -359,6 +359,8 @@ class InfoRelationReport:
 
     The claim under test: the symmetric regimes transmit the full two bits
     while the mixed regimes transmit less, i.e. I_PP = I_EE > I_PE = I_EP.
+    The values are bits, not payoffs, so the verdicts compare them within
+    ``ATOL``; ``PAYOFF_TOL`` judges payoffs only.
     """
 
     source: str  # "oracle" | "published"
@@ -368,9 +370,9 @@ class InfoRelationReport:
     def verdicts(self) -> dict:
         v = self.values
         verdicts = {
-            "pp_eq_ee": abs(v["PP"] - v["EE"]) <= PAYOFF_TOL,
-            "pe_eq_ep": abs(v["PE"] - v["EP"]) <= PAYOFF_TOL,
-            "pp_gt_pe": v["PP"] > v["PE"] + PAYOFF_TOL,
+            "pp_eq_ee": abs(v["PP"] - v["EE"]) <= ATOL,
+            "pe_eq_ep": abs(v["PE"] - v["EP"]) <= ATOL,
+            "pp_gt_pe": v["PP"] > v["PE"] + ATOL,
         }
         verdicts["relation_holds"] = all(verdicts.values())
         return verdicts

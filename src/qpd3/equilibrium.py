@@ -234,26 +234,29 @@ def _grid_max(form: np.ndarray, factors: tuple[np.ndarray, ...]) -> float:
 
 def _payoff_forms(
     player: int,
-    others: np.ndarray,
+    played: np.ndarray,
     gammas: np.ndarray,
     deltas: np.ndarray,
     table: PayoffTable,
 ) -> np.ndarray:
-    """Player's payoff forms ``(P, 4, 4)``, one per row of ``others``: the
-    other two players' moves ``(P, 2, 3)`` at angles ``gammas[p], deltas[p]``.
-    Profile p's payoff is ``q^T Q[p] q``; one kernel call of ``10 P`` rows
-    fixes them all.
+    """Player's payoff forms ``(P, 4, 4)``, one per profile of ``played``
+    ``(P, 3, 3)`` at angles ``gammas[p], deltas[p]``; the player's own move
+    in it is not read.  Profile p's payoff is ``q^T Q[p] q``; one kernel call
+    of ``10 P`` rows, each profile with the player's move replaced by each
+    of ``_POLAR_MOVES``, fixes them all.
 
     Raises:
         ValueError: if a profile's outcome forms do not sum to the identity
             within ``ATOL``, which bounds the probability-sum error at every
             unit quaternion by the tolerance the kernel holds each row to.
     """
-    count = len(others)
-    players = list(np.repeat(others, len(_POLAR_MOVES), axis=0).transpose(1, 0, 2))
-    players.insert(player, np.tile(_POLAR_MOVES, (count, 1)))
+    count = len(played)
+    batch = np.repeat(played[:, None], len(_POLAR_MOVES), axis=1)
+    batch[:, :, player] = _POLAR_MOVES
     probs = outcome_probabilities(
-        np.repeat(gammas, len(_POLAR_MOVES)), np.repeat(deltas, len(_POLAR_MOVES)), *players
+        np.repeat(gammas, len(_POLAR_MOVES)),
+        np.repeat(deltas, len(_POLAR_MOVES)),
+        batch.reshape(-1, 3, 3),
     ).reshape(count, len(_POLAR_MOVES), -1)
     # forms[p, m, n, j]: outcome j's form for profile p, by polarization of its probability
     forms = np.empty((count, 4, 4, probs.shape[2]))
@@ -283,11 +286,11 @@ def _certify(
     """
     played = np.array([[p.as_tuple() for p in profile.as_tuple()] for profile in profiles])
     gammas, deltas = np.asarray(gammas, dtype=float), np.asarray(deltas, dtype=float)
-    payoffs = table.expected(outcome_probabilities(gammas, deltas, *played.transpose(1, 0, 2)))
+    payoffs = table.expected(outcome_probabilities(gammas, deltas, played))
     factors = _grid_factors(grid)
     best = []
     for k in range(3):
-        forms = _payoff_forms(k, np.delete(played, k, axis=1), gammas, deltas, table)
+        forms = _payoff_forms(k, played, gammas, deltas, table)
         best.append([_grid_max(form, factors) for form in forms])
     reports = []
     for profile, payoff, tops in zip(profiles, payoffs.tolist(), zip(*best)):

@@ -15,12 +15,14 @@ form.
 The private core ``_born`` is the one place the rule is evaluated; the initial
 state and the basis signs are built into it, so it is the only statement of
 the arbiter's basis.  It has two entry points.  ``outcome_probabilities``
-checks angle arrays for a single profile or a batch of them, then calls it.
-``expected_payoffs`` takes one profile as dataclasses, whose constructors
-already checked every angle, and is the package-wide oracle: every
-closed-form expression, protocol table and equilibrium scan elsewhere in the
-package is validated against it.  ``moves`` gives the players' 2x2 matrices,
-for checks.
+takes the batch format every sampler and caller in the package holds,
+``(gamma, delta, profiles)``: angles and a ``(3, 3)`` profile or an
+``(N, 3, 3)`` batch, indexed ``[row, player, (theta, alpha, beta)]``.  It
+checks them, then calls the core.  ``expected_payoffs`` takes one profile as
+dataclasses, whose constructors already checked every angle, and is the
+package-wide oracle: every closed-form expression, protocol table and
+equilibrium scan elsewhere in the package is validated against it.
+``moves`` gives the players' 2x2 matrices, for checks.
 
 The core makes the same numpy calls whatever the batch size, about thirty,
 each over the whole batch, which runs along the last axis of every
@@ -41,9 +43,6 @@ import numpy as np
 
 #: Outcome labels in basis order: l = Alice bit, m = Bob bit, n = Charlie bit.
 OUTCOMES = ("000", "001", "010", "011", "100", "101", "110", "111")
-
-#: Players in payoff-triple order.
-PLAYERS = ("A", "B", "C")
 
 #: Angles this close count as equal; outcome probabilities sum to 1 within it.
 ATOL = 1e-12
@@ -264,14 +263,15 @@ _PLUS_FAMILY = frozenset({"000", "111", "001", "110"})
 _SIGNS = np.array([[-1j] if o in _PLUS_FAMILY else [1j] for o in OUTCOMES])
 
 
-def outcome_probabilities(gamma, delta, pa, pb, pc) -> np.ndarray:
+def outcome_probabilities(gamma, delta, profiles) -> np.ndarray:
     """Born-rule probabilities ``|<psi_lmn|psi_f>|^2``, shape ``(N, 8)``, in ``OUTCOMES`` order.
 
     ``gamma`` and ``delta`` are scalars or ``(N,)`` arrays, one angle per
-    row.  Each player argument is ``(theta, alpha, beta)`` with shape
-    ``(3,)`` or ``(N, 3)``.  All five broadcast against each other, so one
-    batched player facing two fixed ones costs no copies of the fixed moves,
-    and a row of a batch equals the single-profile call bit for bit.
+    row.  ``profiles`` is one profile of shape ``(3, 3)`` or a batch of
+    shape ``(N, 3, 3)``, indexed ``[row, player, (theta, alpha, beta)]``
+    with the players in ``(Alice, Bob, Charlie)`` order.  Each argument
+    holds 1 row or the shared ``N``, and one row broadcasts against the
+    batch; a row of a batch equals the single-profile call bit for bit.
 
     Raises:
         ValueError: if an argument has the wrong shape or a batch length
@@ -287,44 +287,41 @@ def outcome_probabilities(gamma, delta, pa, pb, pc) -> np.ndarray:
     flat = np.concatenate([a.ravel() for a in angles])
     if not ((0.0 <= flat) & (flat <= _ANGLE_HI)).all():
         raise ValueError("gamma and delta must lie in [0, pi/2]")
-    players = [np.asarray(p, dtype=float) for p in (pa, pb, pc)]
-    for name, p in zip(PLAYERS, players):
-        if p.ndim not in (1, 2) or p.shape[-1] != 3:
-            raise ValueError(
-                f"player {name} needs (theta, alpha, beta) of shape (3,) or (N, 3), "
-                f"got shape {p.shape}"
-            )
+    profiles = np.asarray(profiles, dtype=float)
+    if profiles.ndim not in (2, 3) or profiles.shape[-2:] != (3, 3):
+        raise ValueError(f"profiles needs shape (3, 3) or (N, 3, 3), got shape {profiles.shape}")
     # Each argument holds 1 row or the batch's N rows, which the first longer one sets.
-    lengths = [a.size for a in angles] + [p.size // 3 for p in players]
-    names = ("gamma", "delta") + tuple(f"player {name}" for name in PLAYERS)
-    batched = [(n, name) for n, name in zip(lengths, names) if n != 1]
+    lengths = {"gamma": angles[0].size, "delta": angles[1].size, "profiles": profiles.size // 9}
+    batched = [(n, name) for name, n in lengths.items() if n != 1]
     for n, name in batched[1:]:
         if n != batched[0][0]:
             raise ValueError(f"{name} holds {n} rows, but {batched[0][1]} holds {batched[0][0]}")
-    # All players' rows go through one range check and one move evaluation.
-    rows = np.concatenate([p.reshape(-1, 3) for p in players])
+    # Alice's moves, then Bob's, then Charlie's go through one range check
+    # and one move evaluation.
+    rows = profiles.reshape(-1, 3, 3).transpose(1, 0, 2).reshape(-1, 3)
     # NaN fails both comparisons, so this also rejects non-finite angles.
     if not ((_PARAM_LO <= rows) & (rows <= _PARAM_HI)).all():
         raise ValueError(
             "player angles must satisfy 0 <= theta <= pi and -pi <= alpha, beta <= pi"
         )
-    return _born(flat / 2, lengths[0], rows, *lengths[2:4])
+    return _born(flat / 2, lengths["gamma"], rows)
 
 
-def _born(half: np.ndarray, ng: int, rows: np.ndarray, na: int, nb: int) -> np.ndarray:
+def _born(half: np.ndarray, ng: int, rows: np.ndarray) -> np.ndarray:
     """The Born rule itself, on inputs already checked by its two callers.
 
     ``half`` holds ``gamma / 2`` in its first ``ng`` entries and ``delta / 2``
-    in the rest.  ``rows`` stacks the three players' ``(theta, alpha, beta)``
-    rows: Alice's ``na``, Bob's ``nb``, then Charlie's.  An argument with one
-    row broadcasts against a batch of ``N``.  The batch runs along the last
-    axis of every intermediate array, so each numpy pass is one long loop
-    whatever ``N``; the ``(N, 8)`` result is C-contiguous.
+    in the rest.  ``rows`` stacks the players' ``(theta, alpha, beta)``
+    rows, a third each: Alice's, then Bob's, then Charlie's.  An argument
+    with one row broadcasts against a batch of ``N``.  The batch runs along
+    the last axis of every intermediate array, so each numpy pass is one
+    long loop whatever ``N``; the ``(N, 8)`` result is C-contiguous.
     """
     cos, sin = np.cos(half), np.sin(half)
     # columns[j, :, k] = U|j> of move k
     columns = moves(rows).T
-    a, b, c = columns[..., :na], columns[..., na : na + nb], columns[..., na + nb :]
+    n = len(rows) // 3
+    a, b, c = columns[..., :n], columns[..., n : 2 * n], columns[..., 2 * n :]
     # branch[j] = U_A|j> (x) U_B|j> (x) U_C|j>, Alice on the most significant bit
     branch = (a[:, :, None, None] * b[:, None, :, None] * c[:, None, None, :]).reshape(2, 8, -1)
     # Only |000> and |111> are occupied initially.
@@ -364,6 +361,6 @@ def expected_payoffs(
         ("pc", pc, StrategyParams),
     )
     half = np.array([config.gamma / 2, config.delta / 2])
-    probs = _born(half, 1, np.array([pa.as_tuple(), pb.as_tuple(), pc.as_tuple()]), 1, 1)
+    probs = _born(half, 1, np.array([pa.as_tuple(), pb.as_tuple(), pc.as_tuple()]))
     return PayoffTriple(*config.payoffs.expected(probs)[0].tolist())
 

@@ -50,14 +50,14 @@ def report_doc(inputs: dict, results: dict, fixtures_compared=None, verdicts=Non
     }
 
 
-def _sums_to_one(gamma, delta, players) -> tuple[bool, dict]:
+def _sums_to_one(gamma, delta, profiles) -> tuple[bool, dict]:
     """Whether every row of one kernel call sums to 1 within ``ATOL``, and the measure.
 
     The kernel raises on a miss beyond ``ATOL``, and that error is the
     check's failure; a smaller miss is measured here, not left to the kernel.
     """
     try:
-        probs = outcome_probabilities(gamma, delta, *players)
+        probs = outcome_probabilities(gamma, delta, profiles)
     except ValueError as exc:
         return False, {"error": str(exc)}
     worst = float(np.max(np.abs(probs.sum(axis=1) - 1.0)))
@@ -86,7 +86,7 @@ def build_verify_bundle(seed: int) -> tuple[dict, list]:
     profiles = np.empty((80, 3, 3))
     profiles[..., 0] = math.pi * defects
     profiles[..., 1:] = rng.uniform(_PARAM_LO[1:], _PARAM_HI[1:], size=(80, 3, 2))
-    probs = outcome_probabilities(0.0, 0.0, *profiles.transpose(1, 0, 2))
+    probs = outcome_probabilities(0.0, 0.0, profiles)
     worst = float(np.max(np.abs(table.expected(probs) - table.payoffs[bits])))
     checks["classical_limit"] = worst <= ATOL
     results["classical_limit"] = {"max_abs_error": worst}
@@ -100,14 +100,12 @@ def build_verify_bundle(seed: int) -> tuple[dict, list]:
     states = np.array([(0.0, 0.0, 0.0), (math.pi, 0.0, 0.0), (half, 0.0, half), (half, 0.0, 0.0)])
     index = np.indices((16, 4, 4, 4)).reshape(4, -1)
     checks["basis_completeness"], results["basis_completeness"] = _sums_to_one(
-        0.0, np.linspace(0.0, half, 16)[index[0]], states[index[1:]]
+        0.0, np.linspace(0.0, half, 16)[index[0]], states[index[1:].T]
     )
 
     # Born conservation over 1000 seeded draws of the whole space.
     gamma, delta, params = sample_any(rng, 1000)
-    checks["born_conservation"], results["born_conservation"] = _sums_to_one(
-        gamma, delta, params.transpose(1, 0, 2)
-    )
+    checks["born_conservation"], results["born_conservation"] = _sums_to_one(gamma, delta, params)
 
     # Four-regime scan: the PP and EE values are analytically forced; the
     # mixed-regime bound and equality claims are measured verdicts.  The

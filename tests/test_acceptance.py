@@ -114,7 +114,7 @@ def test_criterion_04_measurement_basis_complete():
     readout = np.einsum("ni,nj->nij", products.conj(), products).reshape(64, 64)
     deltas = np.linspace(0.0, HALF_PI, 50)
     index = np.indices((50, 4, 4, 4)).reshape(4, -1)
-    probs = outcome_probabilities(0.0, deltas[index[0]], *states[index[1:]]).reshape(50, 64, 8)
+    probs = outcome_probabilities(0.0, deltas[index[0]], states[index[1:].T]).reshape(50, 64, 8)
     worst_sum = float(np.max(np.abs(probs.sum(axis=2) - 1.0)))
     worst_effect = 0.0
     for p in probs:
@@ -150,7 +150,7 @@ def test_criterion_05_born_conservation():
             for _ in range(3)
         ]
         total = outcome_probabilities(
-            config.gamma, config.delta, *(p.as_tuple() for p in profile)
+            config.gamma, config.delta, [p.as_tuple() for p in profile]
         ).sum()
         worst = max(worst, abs(total - 1.0))
     assert worst <= 1e-12

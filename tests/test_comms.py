@@ -375,6 +375,17 @@ class TestInfoRelationReport:
         report = info_relation_report(fixture_regime_tables(), PAIR)
         json.dumps(report.to_record())
 
+    def test_bits_are_compared_in_bits(self):
+        # information values are bits, judged within ATOL: a 1e-10 bit gap is
+        # a difference, though it is below the payoff tolerance
+        report = replace(
+            info_relation_report(fixture_regime_tables(), FULL),
+            values={"PP": 2.0, "PE": 1.0, "EP": 1.0, "EE": 2.0 - 1e-10},
+        )
+        assert 1e-10 < PAYOFF_TOL
+        assert report.verdicts()["pp_eq_ee"] is False
+        assert report.verdicts()["pe_eq_ep"] is True
+
     def test_discrepancies_exactly_when_the_relation_fails(self):
         measured = [
             info_relation_report(tables, model)

@@ -59,9 +59,11 @@ def payoff_forms(player: int, trials) -> np.ndarray:
     """``_payoff_forms`` of ``player`` over ``(others, config)`` trials that
     share one payoff table: each trial's form, from one kernel call."""
     partners = np.array([[p.as_tuple() for p in others] for others, _ in trials])
+    # the player's own move is never read: the kernel would refuse this NaN
+    played = np.insert(partners, player, np.nan, axis=1)
     configs = [config for _, config in trials]
     return _payoff_forms(
-        player, partners, [c.gamma for c in configs], [c.delta for c in configs], configs[0].payoffs
+        player, played, [c.gamma for c in configs], [c.delta for c in configs], configs[0].payoffs
     )
 
 

@@ -24,7 +24,9 @@ from qpd3 import (
     StrategyParams,
     closed_form_payoffs,
     compare_to_oracle,
+    decode,
     expected_payoffs,
+    fixture_table,
     four_case_scan,
     information_bits,
     max_entanglement_payoffs,
@@ -58,7 +60,7 @@ ORACLE_COLUMN_SHA256 = "c8e68d80fcc81cd51ea9b08470109cc3e331e53dc4b3f2ad7df5d7a1
 
 def kernel_probe():
     """``outcome_probabilities``' arguments for the pinned kernel bytes: 200
-    seeded rows, about a quarter of each angle on an edge of its range."""
+    seeded profiles, about a quarter of each angle on an edge of its range."""
     rng = np.random.default_rng(1729)
     n = 200
 
@@ -79,7 +81,7 @@ def kernel_probe():
         )
         for _ in range(3)
     ]
-    return (gamma, delta, *players)
+    return gamma, delta, np.stack(players, axis=1)
 
 
 def basis8(index):
@@ -92,21 +94,21 @@ class TestInitialState:
     """The kernel's initial state, read through identity moves."""
 
     def test_product_corner(self):
-        probs = outcome_probabilities(0.0, 0.0, *(IDENTITY,) * 3)[0]
+        probs = outcome_probabilities(0.0, 0.0, (IDENTITY,) * 3)[0]
         assert np.array_equal(probs, np.abs(basis8(0)) ** 2)
 
     def test_maximally_entangled(self):
         # weights 1/2 on |000> and |111>; the relative phase i makes the
         # state the entangled basis vector of outcome 000
-        probs = outcome_probabilities(HALF_PI, 0.0, *(IDENTITY,) * 3)[0]
+        probs = outcome_probabilities(HALF_PI, 0.0, (IDENTITY,) * 3)[0]
         want = np.abs(basis8(0) + basis8(7)) ** 2 / 2
         assert np.allclose(probs, want, atol=1e-15)
-        probs = outcome_probabilities(HALF_PI, HALF_PI, *(IDENTITY,) * 3)[0]
+        probs = outcome_probabilities(HALF_PI, HALF_PI, (IDENTITY,) * 3)[0]
         assert np.allclose(probs, np.abs(basis8(0)) ** 2, atol=1e-15)
 
     def test_normalized_across_range(self, rng):
         gammas = rng.uniform(0.0, HALF_PI, size=50)
-        probs = outcome_probabilities(gammas, 0.0, *(IDENTITY,) * 3)
+        probs = outcome_probabilities(gammas, 0.0, (IDENTITY,) * 3)
         assert np.max(np.abs(probs[:, 0] - np.cos(gammas / 2) ** 2)) < 1e-12
         assert np.max(np.abs(probs[:, 7] - np.sin(gammas / 2) ** 2)) < 1e-12
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-12
@@ -114,7 +116,7 @@ class TestInitialState:
     @pytest.mark.parametrize("gamma", [-0.1, HALF_PI + 0.1, math.nan])
     def test_rejects_out_of_range(self, gamma):
         with pytest.raises(ValueError):
-            outcome_probabilities(gamma, 0.0, *(IDENTITY,) * 3)
+            outcome_probabilities(gamma, 0.0, (IDENTITY,) * 3)
 
 
 class TestStrategyUnitary:
@@ -250,29 +252,28 @@ class TestMeasurementBasis:
         # the basis is defined for delta in [0, pi/2] only; the kernel that
         # applies it and the config that carries delta both refuse delta = pi
         with pytest.raises(ValueError):
-            outcome_probabilities(0.0, math.pi, *(IDENTITY,) * 3)
+            outcome_probabilities(0.0, math.pi, (IDENTITY,) * 3)
         with pytest.raises(ValueError):
             GameConfig(0.0, math.pi)
 
 
 class TestOutcomeDistribution:
     def test_all_cooperate_classical(self):
-        probs = outcome_probabilities(0.0, 0.0, *(IDENTITY,) * 3)[0]
+        probs = outcome_probabilities(0.0, 0.0, (IDENTITY,) * 3)[0]
         assert probs[OUTCOMES.index("000")] == pytest.approx(1.0, abs=1e-12)
 
     def test_maximal_entanglement_forces_011(self):
         # hand-computed: Alice's flip plus the entangled basis put all weight
         # on outcome 011
-        probs = outcome_probabilities(
-            HALF_PI, HALF_PI, (math.pi, math.pi, math.pi), (0, 0, HALF_PI), (0, 0, HALF_PI)
-        )[0]
+        profile = [(math.pi, math.pi, math.pi), (0, 0, HALF_PI), (0, 0, HALF_PI)]
+        probs = outcome_probabilities(HALF_PI, HALF_PI, profile)[0]
         assert probs[OUTCOMES.index("011")] == pytest.approx(1.0, abs=1e-12)
 
     def test_conservation_fuzz(self, rng):
         configs = [random_config(rng) for _ in range(1000)]
         players = [[random_params(rng).as_tuple() for _ in range(1000)] for _ in range(3)]
         probs = outcome_probabilities(
-            [c.gamma for c in configs], [c.delta for c in configs], *players
+            [c.gamma for c in configs], [c.delta for c in configs], np.stack(players, axis=1)
         )
         assert np.all(probs >= 0.0)
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-12
@@ -300,6 +301,18 @@ class TestExpectedPayoffs:
             StrategyParams(0, 0, 0),
         )
         assert got.as_tuple() == pytest.approx((3, 3, 3), abs=1e-9)
+
+    def test_phase_move_payoff_follows_the_regime_relation(self, rng):
+        # demo 02's first sweep: Alice plays (0, pi, pi) against two
+        # (0, 0, pi/2) partners, and her payoff is 2 + cos(gamma - delta):
+        # 3 at PP and EE, 2 at PE and EP, and between them everywhere
+        profile = [(0.0, math.pi, math.pi), (0.0, 0.0, HALF_PI), (0.0, 0.0, HALF_PI)]
+        played = [StrategyParams(*p) for p in profile]
+        for gamma, delta in rng.uniform(0.0, HALF_PI, (200, 2)):
+            config = GameConfig(float(gamma), float(delta))
+            law = 2.0 + math.cos(gamma - delta)
+            assert abs(trace_rule_payoffs(config, *profile)[0] - law) < 1e-12
+            assert abs(expected_payoffs(config, *played).alice - law) < 1e-12
 
     def test_classical_reduction_with_phase_independence(self, rng):
         # at gamma = delta = 0 the game is the classical mixture with defect
@@ -390,7 +403,7 @@ class TestOutcomeProbabilities:
         kernel = qpd3.game.moves
         monkeypatch.setattr(qpd3.game, "moves", lambda rows: 1.1 * kernel(rows))
         with pytest.raises(ValueError, match="outcome probabilities sum to 1"):
-            outcome_probabilities(0.3, 0.7, *(IDENTITY,) * 3)
+            outcome_probabilities(0.3, 0.7, (IDENTITY,) * 3)
         with pytest.raises(ValueError, match="outcome probabilities sum to 1"):
             expected_payoffs(GameConfig(0.3, 0.7), *(StrategyParams(*IDENTITY),) * 3)
 
@@ -418,7 +431,7 @@ class TestOutcomeProbabilities:
             config = GameConfig(gamma, delta, table)
             for profile in itertools.product(corners, repeat=3):
                 got = np.array(expected_payoffs(config, *profile).as_tuple())
-                probs = outcome_probabilities(gamma, delta, *(p.as_tuple() for p in profile))
+                probs = outcome_probabilities(gamma, delta, [p.as_tuple() for p in profile])
                 assert got.tobytes() == table.expected(probs)[0].tobytes()
 
     def test_kernel_bytes_are_pinned(self):
@@ -435,36 +448,36 @@ class TestOutcomeProbabilities:
     def test_batched_rows_equal_single_profiles(self, rng):
         config = random_config(rng)
         rows = np.array([random_params(rng).as_tuple() for _ in range(3 * 50)]).reshape(3, 50, 3)
-        fixed = [random_params(rng).as_tuple() for _ in range(3)]
+        fixed = np.array([random_params(rng).as_tuple() for _ in range(3)])
+        # one player's moves batched, the other two fixed, for each player
         for k in range(3):
-            players = list(fixed)
-            players[k] = rows[k]
-            batch = outcome_probabilities(config.gamma, config.delta, *players)
+            profiles = np.repeat(fixed[None], 50, axis=0)
+            profiles[:, k] = rows[k]
+            batch = outcome_probabilities(config.gamma, config.delta, profiles)
             assert batch.shape == (50, 8)
-            for i, row in enumerate(rows[k]):
-                players[k] = row
-                single = outcome_probabilities(config.gamma, config.delta, *players)
+            for i, profile in enumerate(profiles):
+                single = outcome_probabilities(config.gamma, config.delta, profile)
                 assert single.shape == (1, 8)
                 assert np.array_equal(batch[i], single[0])
-        batch = outcome_probabilities(config.gamma, config.delta, *rows)
+        profiles = np.stack(rows, axis=1)
+        batch = outcome_probabilities(config.gamma, config.delta, profiles)
         for i in range(50):
-            single = outcome_probabilities(config.gamma, config.delta, *rows[:, i])
+            single = outcome_probabilities(config.gamma, config.delta, profiles[i])
             assert np.array_equal(batch[i], single[0])
-        # one (gamma, delta) per row, with batched and with fixed players
+        # one (gamma, delta) per row, with batched profiles and with one fixed profile
         gammas = rng.uniform(0.0, HALF_PI, 50)
         deltas = rng.uniform(0.0, HALF_PI, 50)
-        for players in (rows, fixed):
-            batch = outcome_probabilities(gammas, deltas, *players)
+        for players in (profiles, fixed):
+            batch = outcome_probabilities(gammas, deltas, players)
             assert batch.shape == (50, 8)
             for i in range(50):
-                row = [p[i] if np.ndim(p) == 2 else p for p in players]
-                single = outcome_probabilities(float(gammas[i]), float(deltas[i]), *row)
+                profile = players[i] if players.ndim == 3 else players
+                single = outcome_probabilities(float(gammas[i]), float(deltas[i]), profile)
                 assert np.array_equal(batch[i], single[0])
-        # arrays of 1 row, as the angle and as a player, broadcast like scalars
-        batch = outcome_probabilities([config.gamma], deltas, rows[0][:1], *rows[1:])
+        # arrays of 1 row, as the angle and as the profiles, broadcast like scalars
+        batch = outcome_probabilities([config.gamma], deltas, profiles[:1])
         for i in range(50):
-            row = (rows[0][0], rows[1][i], rows[2][i])
-            single = outcome_probabilities(config.gamma, float(deltas[i]), *row)
+            single = outcome_probabilities(config.gamma, float(deltas[i]), profiles[0])
             assert np.array_equal(batch[i], single[0])
 
     @pytest.mark.parametrize("k", [0, 1, 2])
@@ -480,46 +493,48 @@ class TestOutcomeProbabilities:
         ],
     )
     def test_rejects_bad_player_angles(self, k, bad):
-        players = [(0.0, 0.0, 0.0)] * 3
-        players[k] = bad
+        profile = np.zeros((3, 3))
+        profile[k] = bad
         with pytest.raises(ValueError):
-            outcome_probabilities(0.3, 0.7, *players)
-        players[k] = np.vstack([np.zeros((4, 3)), bad])  # one bad row in a batch
+            outcome_probabilities(0.3, 0.7, profile)
+        profiles = np.zeros((5, 3, 3))
+        profiles[4, k] = bad  # one bad move in a batch
         with pytest.raises(ValueError):
-            outcome_probabilities(0.3, 0.7, *players)
+            outcome_probabilities(0.3, 0.7, profiles)
 
-    @pytest.mark.parametrize("bad", [(0.0, 0.0), np.zeros((4, 2)), np.zeros((2, 2, 3))])
+    @pytest.mark.parametrize(
+        "bad", [(0.0, 0.0, 0.0), np.zeros((4, 2, 3)), np.zeros((2, 2, 3, 3))]
+    )
     def test_rejects_bad_player_shapes(self, bad):
-        with pytest.raises(ValueError):
-            outcome_probabilities(0.3, 0.7, bad, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+        # one move, two players' moves, and a batch of batches are no profiles
+        with pytest.raises(ValueError, match="^profiles needs shape"):
+            outcome_probabilities(0.3, 0.7, bad)
 
     @pytest.mark.parametrize(
         "gamma,delta", [(math.nan, 0.0), (0.0, math.nan), (-0.1, 0.0), (0.0, math.pi)]
     )
     def test_rejects_bad_config_angles(self, gamma, delta):
         with pytest.raises(ValueError):
-            outcome_probabilities(gamma, delta, *[(0.0, 0.0, 0.0)] * 3)
+            outcome_probabilities(gamma, delta, [(0.0, 0.0, 0.0)] * 3)
         # the same bad angle inside an (N,) array of good ones
         with pytest.raises(ValueError):
-            outcome_probabilities([0.1, gamma, 0.2], [0.3, delta, 0.4], *[(0.0, 0.0, 0.0)] * 3)
+            outcome_probabilities([0.1, gamma, 0.2], [0.3, delta, 0.4], [(0.0, 0.0, 0.0)] * 3)
 
     def test_rejects_bad_config_shapes(self):
         with pytest.raises(ValueError):
-            outcome_probabilities(np.zeros((2, 1)), 0.0, *[(0.0, 0.0, 0.0)] * 3)
+            outcome_probabilities(np.zeros((2, 1)), 0.0, [(0.0, 0.0, 0.0)] * 3)
         with pytest.raises(ValueError):
-            outcome_probabilities(0.0, np.zeros((1, 2)), *[(0.0, 0.0, 0.0)] * 3)
-        # per-row angles must match the players' rows
+            outcome_probabilities(0.0, np.zeros((1, 2)), [(0.0, 0.0, 0.0)] * 3)
+        # per-row angles must match the profiles' rows
         with pytest.raises(ValueError):
-            outcome_probabilities(np.zeros(3), 0.0, np.zeros((2, 3)), *[(0.0, 0.0, 0.0)] * 2)
+            outcome_probabilities(np.zeros(3), 0.0, np.zeros((2, 3, 3)))
 
-    @pytest.mark.parametrize(
-        "k,name", list(enumerate(["gamma", "delta", "player A", "player B", "player C"]))
-    )
+    @pytest.mark.parametrize("k,name", list(enumerate(["gamma", "delta", "profiles"])))
     def test_names_the_argument_whose_batch_length_disagrees(self, k, name):
         # every argument but the k-th holds 2 rows, which the k-th breaks with
         # 3; the first argument of more than 1 row sets the batch length
-        args = [np.full(2, 0.1), np.full(2, 0.2)] + [np.zeros((2, 3))] * 3
-        args[k] = np.full(3, 0.3) if k < 2 else np.zeros((3, 3))
+        args = [np.full(2, 0.1), np.full(2, 0.2), np.zeros((2, 3, 3))]
+        args[k] = np.full(3, 0.3) if k < 2 else np.zeros((3, 3, 3))
         message = f"{name} holds 3 rows, but gamma holds 2"
         if k == 0:
             message = "delta holds 2 rows, but gamma holds 3"
@@ -528,9 +543,11 @@ class TestOutcomeProbabilities:
 
     def test_a_single_row_does_not_set_the_batch(self):
         with pytest.raises(ValueError, match="^delta holds 3 rows, but gamma holds 2$"):
-            outcome_probabilities([0.1, 0.2], [0.1, 0.2, 0.3], *[(0, 0, 0)] * 3)
-        with pytest.raises(ValueError, match="^player C holds 2 rows, but player A holds 3$"):
-            outcome_probabilities(0.1, [0.2], np.zeros((3, 3)), (0, 0, 0), np.zeros((2, 3)))
+            outcome_probabilities([0.1, 0.2], [0.1, 0.2, 0.3], np.zeros((1, 3, 3)))
+        with pytest.raises(ValueError, match="^profiles holds 2 rows, but gamma holds 3$"):
+            outcome_probabilities(np.zeros(3), [0.2], np.zeros((2, 3, 3)))
+        with pytest.raises(ValueError, match="^profiles holds 2 rows, but delta holds 3$"):
+            outcome_probabilities([0.1], np.zeros(3), np.zeros((2, 3, 3)))
 
 
 class TestClassicalPayoff:
@@ -634,7 +651,8 @@ class TestConfigAndTable:
         # other last bits than the same row alone; the contraction must not
         rng = np.random.default_rng(n)
         players = rng.uniform((0, -math.pi, -math.pi), (math.pi, math.pi, math.pi), (3, 3 * n, 3))
-        probs = outcome_probabilities(*rng.uniform(0, HALF_PI, (2, 3 * n)), *players)
+        angles = rng.uniform(0, HALF_PI, (2, 3 * n))
+        probs = outcome_probabilities(*angles, np.stack(players, axis=1))
         batch = layout(probs)[:n]
         rows = [DEFAULT_PAYOFF_TABLE.expected(batch[i : i + 1]) for i in range(n)]
         assert DEFAULT_PAYOFF_TABLE.expected(batch).tobytes() == np.concatenate(rows).tobytes()
@@ -656,27 +674,42 @@ _MOVE = StrategyParams(0.1, 0.2, 0.3)
 _CONFIG = GameConfig(HALF_PI, HALF_PI)
 
 
+_TABLE2 = fixture_table("table2")
+_MODEL_MESSAGE = "model must be one of ('own', 'bob-and-charlie', 'full-triple'), got ['own']"
+
+
 @pytest.mark.parametrize(
-    "call,name,kind",
+    "call,message",
     [
-        (lambda: expected_payoffs((0.1, 0.2), _MOVE, _MOVE, _MOVE), "config", "GameConfig"),
-        (lambda: expected_payoffs(_CONFIG, (0.1, 0.2, 0.3), _MOVE, _MOVE), "pa", "StrategyParams"),
-        (lambda: closed_form_payoffs(_CONFIG, _MOVE, (0.1,) * 3, _MOVE), "pb", "StrategyParams"),
-        (lambda: max_entanglement_payoffs(_CONFIG, _MOVE, _MOVE, [0.1]), "pc", "StrategyParams"),
-        (lambda: verify_nash((_MOVE,) * 3, _CONFIG, GridSpec()), "profile", "Profile"),
-        (lambda: verify_nash(Profile(*(_MOVE,) * 3), _CONFIG, (2, 2, 2)), "grid", "GridSpec"),
-        (lambda: Profile(_MOVE, _MOVE, (0.1, 0.2, 0.3)), "pc", "StrategyParams"),
-        (lambda: information_bits({}), "table", "ProtocolTable"),
-        (lambda: four_case_scan(dict), "table", "PayoffTable"),
+        (lambda: expected_payoffs((0.1, 0.2), _MOVE, _MOVE, _MOVE),
+         "config must be a GameConfig, got "),
+        (lambda: expected_payoffs(_CONFIG, (0.1, 0.2, 0.3), _MOVE, _MOVE),
+         "pa must be a StrategyParams, got "),
+        (lambda: closed_form_payoffs(_CONFIG, _MOVE, (0.1,) * 3, _MOVE),
+         "pb must be a StrategyParams, got "),
+        (lambda: max_entanglement_payoffs(_CONFIG, _MOVE, _MOVE, [0.1]),
+         "pc must be a StrategyParams, got "),
+        (lambda: verify_nash((_MOVE,) * 3, _CONFIG, GridSpec()),
+         "profile must be a Profile, got "),
+        (lambda: verify_nash(Profile(*(_MOVE,) * 3), _CONFIG, (2, 2, 2)),
+         "grid must be a GridSpec, got "),
+        (lambda: Profile(_MOVE, _MOVE, (0.1, 0.2, 0.3)), "pc must be a StrategyParams, got "),
+        (lambda: information_bits({}), "table must be a ProtocolTable, got "),
+        (lambda: four_case_scan(dict), "table must be a PayoffTable, got "),
+        (lambda: decode({}, (0, 0), (3, 3)), "table must be a ProtocolTable, got "),
+        (lambda: information_bits(_TABLE2, ["own"]), _MODEL_MESSAGE),
+        (lambda: decode(_TABLE2, (0, 0), (2, 2), ["own"]), _MODEL_MESSAGE),
     ],
     ids=["expected_payoffs", "expected_payoffs-move", "closed_form_payoffs",
          "max_entanglement_payoffs", "verify_nash", "verify_nash-grid", "Profile",
-         "information_bits", "four_case_scan"],
+         "information_bits", "four_case_scan", "decode", "information_bits-model",
+         "decode-model"],
 )
-def test_public_functions_name_the_argument_of_the_wrong_type(call, name, kind):
-    # a tuple or mapping where a checked dataclass belongs is refused by name,
-    # not left to fail later as an AttributeError
-    with pytest.raises(ValueError, match=f"^{name} must be a {kind}, got "):
+def test_public_functions_name_the_argument_of_the_wrong_type(call, message):
+    # a tuple or mapping where a checked dataclass belongs, or a list where a
+    # model name belongs, is refused by name, not left to fail later as an
+    # AttributeError or TypeError
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         call()
 
 
